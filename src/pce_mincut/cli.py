@@ -14,6 +14,7 @@ corresponding command-line flags.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from .graph import generate_complete_graph, read_graph, write_graph
 from .harness import (
+    HISTORY_FIELDS,
     ExperimentPlan,
     GraphSource,
     SolverSpec,
@@ -54,29 +56,28 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c", type=int, required=True, help="budget: nodes on the selected side")
-    parser.add_argument("--alpha-mode", choices=["fixed", "iterative"], default="iterative")
-    parser.add_argument("--alpha", type=float, default=None, help="sharpness for fixed mode")
+    """Solver flags shared by `solve` and `bench`; see _solver_kwargs."""
     parser.add_argument("--alpha0", type=float, default=None, help="starting sharpness (iterative)")
     parser.add_argument("--M", type=float, default=None, help="binarization threshold")
     parser.add_argument("--beta", type=float, default=None, help="penalty strength (default: degree heuristic)")
     parser.add_argument("--eta", type=float, default=0.0, help="regularization strength")
     parser.add_argument("--update-rule", choices=["arctanh_ratio", "large_scale"], default=None)
-    parser.add_argument("--max-outer-iters", type=int, default=50)
-    parser.add_argument("--alpha-cap", type=float, default=1e16)
     parser.add_argument("--family", choices=["full_xyz", "single_pauli", "single_pauli_mixed"],
                         default="full_xyz")
     parser.add_argument("--pauli", choices=["X", "Y", "Z"], default="Z")
     parser.add_argument("--k", type=int, default=None, help="Pauli-string order (default by size)")
     parser.add_argument("--layers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-evals", type=int, default=None, help="optimizer evaluation budget")
 
 
-def _optimizer_from_args(args) -> OptimizerConfig | None:
-    if args.max_evals is None:
-        return None
-    return OptimizerConfig(max_evals=args.max_evals)
+def _solver_kwargs(args) -> dict:
+    """Keywords of the shared solver flags, as default_config and SolverSpec take them."""
+    return dict(
+        alpha0=args.alpha0, M=args.M, beta=args.beta, eta=args.eta,
+        update_rule=args.update_rule, family=args.family, pauli=args.pauli,
+        k=args.k, layers=args.layers,
+        optimizer=None if args.max_evals is None else OptimizerConfig(max_evals=args.max_evals),
+    )
 
 
 def cmd_generate(args) -> int:
@@ -107,18 +108,9 @@ def cmd_solve(args) -> int:
         alpha_mode=args.alpha_mode,
         seed=args.seed,
         alpha=args.alpha,
-        beta=args.beta,
-        eta=args.eta,
-        family=args.family,
-        pauli=args.pauli,
-        k=args.k,
-        layers=args.layers,
-        optimizer=_optimizer_from_args(args),
-        M=args.M,
-        alpha0=args.alpha0,
-        update_rule=args.update_rule,
         max_outer_iters=args.max_outer_iters,
         alpha_cap=args.alpha_cap,
+        **_solver_kwargs(args),
     )
     t0 = time.perf_counter()
     outcome = solve(cfg)
@@ -132,7 +124,7 @@ def cmd_solve(args) -> int:
                          pair_id=None, baseline=baseline, wall_time_s=wall)
     print(json.dumps(record, indent=2))
     if args.history and outcome.history is not None:
-        _write_single_history(outcome, args.history)
+        _write_single_history(record["outcome"]["history"], args.history)
         print(f"history written to {args.history}", file=sys.stderr)
     if args.records:
         with open(args.records, "a") as fh:
@@ -140,15 +132,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _write_single_history(outcome, path) -> None:
-    import csv
-
+def _write_single_history(history: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "alpha", "loss", "binarization", "minus_count"])
-        for h in outcome.history:
-            writer.writerow([h.outer_iter, h.alpha, h.loss, h.binarization,
-                             h.minus_count])
+        writer = csv.DictWriter(fh, fieldnames=HISTORY_FIELDS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(history)
 
 
 def _graph_source_from_args(args) -> GraphSource:
@@ -163,11 +151,7 @@ def _graph_source_from_args(args) -> GraphSource:
 
 def cmd_bench(args) -> int:
     solvers: list[SolverSpec] = []
-    common = dict(
-        beta=args.beta, eta=args.eta, M=args.M, alpha0=args.alpha0,
-        update_rule=args.update_rule, family=args.family, pauli=args.pauli,
-        k=args.k, layers=args.layers, optimizer=_optimizer_from_args(args),
-    )
+    common = _solver_kwargs(args)
     if args.solver in ("iterative", "both"):
         solvers.append(SolverSpec(label="iterative", mode="iterative",
                                   paired_control=args.paired, **common))
@@ -251,6 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="single run, prints a JSON run record")
     p.add_argument("--graph", type=str, required=True)
+    p.add_argument("--c", type=int, required=True, help="budget: nodes on the selected side")
+    p.add_argument("--alpha-mode", choices=["fixed", "iterative"], default="iterative")
+    p.add_argument("--alpha", type=float, default=None, help="sharpness for fixed mode")
+    p.add_argument("--max-outer-iters", type=int, default=50)
+    p.add_argument("--alpha-cap", type=float, default=1e16)
+    p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
     p.add_argument("--baseline-method", choices=["sa", "exhaustive", "auto"], default="sa")
     p.add_argument("--baseline-seed", type=int, default=0)
@@ -285,18 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-history", action="store_true")
     p.add_argument("--quiet", action="store_true")
-    # solver overrides shared with `solve`
-    p.add_argument("--alpha0", type=float, default=None)
-    p.add_argument("--M", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--update-rule", choices=["arctanh_ratio", "large_scale"], default=None)
-    p.add_argument("--family", choices=["full_xyz", "single_pauli", "single_pauli_mixed"],
-                   default="full_xyz")
-    p.add_argument("--pauli", choices=["X", "Y", "Z"], default="Z")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--max-evals", type=int, default=None)
+    _add_solver_flags(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_bench)
 

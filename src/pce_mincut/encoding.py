@@ -22,8 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "CapacityError",
     "PauliString",
@@ -82,10 +80,10 @@ class PauliString:
 class EncodingSpec:
     """Which strings encode the n_vars classical variables on m qubits.
 
-    permute_seed, when set, shuffles the variable-to-string assignment with a
-    seeded permutation; the default keeps enumeration order. Whether the
-    assignment matters for solution quality is an open question, so this is
-    exposed for experimentation only.
+    Variable i is carried by the i-th string of the family's enumeration
+    (see enumerate_strings). The fixed families take an order k; the mixed
+    family takes k_range=(lo, hi). pauli picks the letter of the
+    single-letter families and is ignored by full_xyz.
     """
 
     family: str
@@ -94,7 +92,6 @@ class EncodingSpec:
     k: int | None = None
     k_range: tuple[int, int] | None = None
     pauli: str = "Z"
-    permute_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -191,11 +188,7 @@ def enumerate_strings(spec: EncodingSpec) -> list[PauliString]:
         for kk in range(lo, hi + 1):
             for positions in _position_subsets(spec.m, kk):
                 letters.append(_string_at(spec.m, positions, spec.pauli))
-    letters = letters[: spec.n_vars]
-    if spec.permute_seed is not None:
-        perm = np.random.default_rng(spec.permute_seed).permutation(len(letters))
-        letters = [letters[j] for j in perm]
-    return [PauliString(s, variable_index=i) for i, s in enumerate(letters)]
+    return [PauliString(s, variable_index=i) for i, s in enumerate(letters[: spec.n_vars])]
 
 
 def commuting_groups(strings) -> list[list[PauliString]]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 from .encoding import EncodingSpec
 from .graph import WeightedGraph, generate_complete_graph, graph_hash, read_graph
 from .objective import ObjectiveSpec, binarization
-from .optimize import OptimizerConfig
+from .optimize import F_TOL, INITIAL_STEP, METHOD, X_TOL, OptimizerConfig
 from .oracles import SaConfig, baseline_cut, normalized_cut
 from .solver import (
     ANSATZ_LAYOUT,
@@ -46,7 +47,6 @@ __all__ = [
     "ExperimentPlan",
     "AggregateReport",
     "metric_epsilon_c",
-    "metric_binarization",
     "run_plan",
     "aggregate",
     "emit_report",
@@ -179,84 +179,57 @@ def metric_epsilon_c(records) -> float:
     return sum(_record_feasible(r) for r in records) / len(records)
 
 
-def metric_binarization(soft) -> float:
-    """Fraction of soft values with magnitude above the 0.9 threshold."""
-    return binarization(soft)
-
-
 # --- record building and replay ----------------------------------------------
+
+# PceConfig fields stored at the top level of a record's config, in order
+_SCHEDULE_FIELDS = ("alpha_mode", "seed", "M", "alpha0", "update_rule",
+                    "max_outer_iters", "alpha_cap", "layers")
+_OBJECTIVE_FIELDS = ("alpha", "c", "beta", "eta")
+
+# Values this code always runs with. Records store them so they stay
+# self-describing; a record that ran under other values is refused, not
+# replayed under these.
+_FIXED = {
+    "encoding": {"permute_seed": None},
+    "optimizer": {"method": METHOD, "x_tol": X_TOL, "f_tol": F_TOL,
+                  "initial_step": INITIAL_STEP, "seed": None},
+}
+
 
 def config_to_dict(cfg: PceConfig) -> dict:
     obj = cfg.objective
-    enc = obj.encoding
-    opt = cfg.optimizer
+    encoding = asdict(obj.encoding)
+    if encoding["k_range"] is not None:
+        encoding["k_range"] = list(encoding["k_range"])
     return {
-        "alpha_mode": cfg.alpha_mode,
-        "seed": cfg.seed,
-        "M": cfg.M,
-        "alpha0": cfg.alpha0,
-        "update_rule": cfg.update_rule,
-        "max_outer_iters": cfg.max_outer_iters,
-        "alpha_cap": cfg.alpha_cap,
-        "layers": cfg.layers,
+        **{name: getattr(cfg, name) for name in _SCHEDULE_FIELDS},
         "ansatz": ANSATZ_LAYOUT,
-        "objective": {"alpha": obj.alpha, "c": obj.c, "beta": obj.beta, "eta": obj.eta},
-        "encoding": {
-            "family": enc.family,
-            "m": enc.m,
-            "n_vars": enc.n_vars,
-            "k": enc.k,
-            "k_range": list(enc.k_range) if enc.k_range else None,
-            "pauli": enc.pauli,
-            "permute_seed": enc.permute_seed,
-        },
-        "optimizer": {
-            "method": opt.method,
-            "max_evals": opt.max_evals,
-            "x_tol": opt.x_tol,
-            "f_tol": opt.f_tol,
-            "initial_step": opt.initial_step,
-            "seed": opt.seed,
-        },
+        "objective": {name: getattr(obj, name) for name in _OBJECTIVE_FIELDS},
+        "encoding": {**encoding, **_FIXED["encoding"]},
+        # method leads the optimizer section, max_evals follows it
+        "optimizer": {"method": METHOD, "max_evals": cfg.optimizer.max_evals,
+                      **_FIXED["optimizer"]},
     }
 
 
 def config_from_dict(d: dict, graph: WeightedGraph) -> PceConfig:
-    enc_d = d["encoding"]
-    enc = EncodingSpec(
-        family=enc_d["family"],
-        m=enc_d["m"],
-        n_vars=enc_d["n_vars"],
-        k=enc_d.get("k"),
-        k_range=tuple(enc_d["k_range"]) if enc_d.get("k_range") else None,
-        pauli=enc_d.get("pauli", "Z"),
-        permute_seed=enc_d.get("permute_seed"),
-    )
-    obj_d = d["objective"]
-    objective = ObjectiveSpec(
-        graph=graph, encoding=enc, alpha=obj_d["alpha"], c=obj_d["c"],
-        beta=obj_d["beta"], eta=obj_d.get("eta", 0.0),
-    )
-    opt_d = d["optimizer"]
-    optimizer = OptimizerConfig(
-        method=opt_d["method"],
-        max_evals=opt_d.get("max_evals"),
-        x_tol=opt_d["x_tol"],
-        f_tol=opt_d["f_tol"],
-        initial_step=opt_d["initial_step"],
-        seed=opt_d.get("seed"),
-    )
+    """Rebuild a record's config; ValueError if it ran under other fixed values."""
+    for section, fixed in _FIXED.items():
+        for key, value in fixed.items():
+            recorded = d[section].get(key)
+            if recorded != value:
+                raise ValueError(
+                    f"record has {section}.{key}={recorded!r}, but this code "
+                    f"runs {section}.{key}={value!r}; it cannot be replayed"
+                )
+    encoding = EncodingSpec(**{k: v for k, v in d["encoding"].items()
+                               if k not in _FIXED["encoding"]})
+    objective = ObjectiveSpec(graph=graph, encoding=encoding,
+                              **{name: d["objective"][name] for name in _OBJECTIVE_FIELDS})
     return PceConfig(
         objective=objective,
-        optimizer=optimizer,
-        seed=d["seed"],
-        alpha_mode=d["alpha_mode"],
-        M=d["M"],
-        alpha0=d["alpha0"],
-        update_rule=d["update_rule"],
-        max_outer_iters=d["max_outer_iters"],
-        alpha_cap=d["alpha_cap"],
-        layers=d["layers"],
+        optimizer=OptimizerConfig(max_evals=d["optimizer"]["max_evals"]),
+        **{name: d[name] for name in _SCHEDULE_FIELDS},
     )
 
 
@@ -393,6 +366,7 @@ def _run_cell(args: tuple) -> list[dict]:
             {
                 "artifact_version": ARTIFACT_VERSION,
                 "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
                 "label": spec.label,
                 "c": c,
                 "rep": rep,

@@ -1,9 +1,10 @@
 """Gradient-free minimization of the loss over ansatz angles.
 
-A single method is registered: Nelder-Mead with the standard coefficients
-(reflection 1, expansion 2, contraction 0.5, shrink 0.5) and an axis-aligned
-initial simplex. The registry exists so a gradient-based method can be
-plugged in later without touching the solver.
+The method is Nelder-Mead with the standard coefficients (reflection 1,
+expansion 2, contraction 0.5, shrink 0.5), an axis-aligned initial simplex
+of side INITIAL_STEP, and the stopping tolerances X_TOL and F_TOL. Only the
+evaluation budget is configurable; run records store the fixed values so
+that a record written under other values is refused, not replayed.
 
 Everything here is deterministic: identical (objective, x0, config) inputs
 replay the exact same evaluation sequence.
@@ -17,12 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "METHOD",
+    "X_TOL",
+    "F_TOL",
+    "INITIAL_STEP",
     "OptimizerConfig",
     "OptimizeResult",
     "EvaluationError",
     "minimize",
     "random_init",
 ]
+
+METHOD = "nelder_mead"
+X_TOL = 1e-6  # largest vertex distance from the best vertex at convergence
+F_TOL = 1e-8  # largest value spread over the simplex at convergence
+INITIAL_STEP = 0.5  # side of the initial simplex
 
 
 class EvaluationError(RuntimeError):
@@ -39,23 +49,7 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "nelder_mead"
     max_evals: int | None = None  # None -> 400 * dimension
-    x_tol: float = 1e-6
-    f_tol: float = 1e-8
-    initial_step: float = 0.5
-    seed: int | None = None  # reserved for restart strategies
-    record_trace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(
-                f"unknown method {self.method!r}; registered: {sorted(_METHODS)}"
-            )
-        if self.x_tol <= 0 or self.f_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
     def budget(self, dim: int) -> int:
         b = 400 * dim if self.max_evals is None else self.max_evals
@@ -70,7 +64,6 @@ class OptimizeResult:
     best_value: float
     evals: int
     converged: bool
-    trace: list[tuple[int, float]] | None = None
 
 
 class _BudgetExhausted(Exception):
@@ -84,20 +77,8 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("x0 must be a non-empty 1-D vector")
-    return _METHODS[cfg.method](objective, x0, cfg)
-
-
-def random_init(dim: int, seed: int | None, low: float = -math.pi, high: float = math.pi) -> np.ndarray:
-    """Uniform i.i.d. start vector; reproducible per seed."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return np.random.default_rng(seed).uniform(low, high, size=dim)
-
-
-def _nelder_mead(objective, x0: np.ndarray, cfg: OptimizerConfig) -> OptimizeResult:
     dim = x0.size
     max_evals = cfg.budget(dim)
-    trace: list[tuple[int, float]] | None = [] if cfg.record_trace else None
 
     evals = 0
     best_x = x0.copy()
@@ -111,8 +92,6 @@ def _nelder_mead(objective, x0: np.ndarray, cfg: OptimizerConfig) -> OptimizeRes
         evals += 1
         if not math.isfinite(value):
             raise EvaluationError(value, x)
-        if trace is not None:
-            trace.append((evals, value))
         if value < best_f:
             best_f = value
             best_x = np.array(x)
@@ -123,7 +102,7 @@ def _nelder_mead(objective, x0: np.ndarray, cfg: OptimizerConfig) -> OptimizeRes
         simplex = [x0.copy()]
         for i in range(dim):
             v = x0.copy()
-            v[i] += cfg.initial_step
+            v[i] += INITIAL_STEP
             simplex.append(v)
         fvals = [f(v) for v in simplex]
 
@@ -134,7 +113,7 @@ def _nelder_mead(objective, x0: np.ndarray, cfg: OptimizerConfig) -> OptimizeRes
 
             spread_f = fvals[-1] - fvals[0]
             spread_x = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-            if spread_f <= cfg.f_tol and spread_x <= cfg.x_tol:
+            if spread_f <= F_TOL and spread_x <= X_TOL:
                 converged = True
                 break
 
@@ -179,8 +158,12 @@ def _nelder_mead(objective, x0: np.ndarray, cfg: OptimizerConfig) -> OptimizeRes
         best_value=best_f,
         evals=evals,
         converged=converged,
-        trace=trace,
     )
 
 
-_METHODS = {"nelder_mead": _nelder_mead}
+def random_init(dim: int, seed: int | None, low: float = -math.pi, high: float = math.pi) -> np.ndarray:
+    """Uniform i.i.d. start vector; reproducible per seed."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    return np.random.default_rng(seed).uniform(low, high, size=dim)
+

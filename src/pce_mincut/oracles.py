@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,5 +206,16 @@ def baseline_cut(
 
     if cache_path is not None:
         cache[key] = value
-        Path(cache_path).write_text(json.dumps(cache, indent=0, sort_keys=True) + "\n")
+        _write_atomically(Path(cache_path), json.dumps(cache, indent=0, sort_keys=True) + "\n")
     return value
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace path's contents in one step, so a crash leaves the old file whole."""
+    # same directory, so the rename stays on one file system
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -134,12 +134,3 @@ def test_groups_commute_under_matrix_multiplication(m):
             for j in range(i + 1, len(mats)):
                 assert np.allclose(mats[i] @ mats[j], mats[j] @ mats[i])
 
-
-def test_permute_seed_shuffles_assignment():
-    base = EncodingSpec("full_xyz", m=3, n_vars=9, k=2)
-    shuffled = EncodingSpec("full_xyz", m=3, n_vars=9, k=2, permute_seed=5)
-    a = letters_of(base)
-    b = letters_of(shuffled)
-    assert sorted(a) == sorted(b)
-    assert a != b
-    assert b == letters_of(shuffled)  # deterministic per seed

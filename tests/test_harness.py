@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,6 @@ from pce_mincut.harness import (
     SolverSpec,
     aggregate,
     emit_report,
-    metric_binarization,
     metric_epsilon_c,
     read_records,
     render_markdown,
@@ -20,6 +20,9 @@ from pce_mincut.harness import (
 from pce_mincut.optimize import OptimizerConfig
 
 FAST = OptimizerConfig(max_evals=600)
+
+# the records of small_plan() as version 0.1.0 of the package wrote them
+V0_1_0_RECORDS = Path(__file__).parent / "data" / "records_v0_1_0.jsonl"
 
 
 def small_plan(**overrides):
@@ -50,12 +53,6 @@ def test_metric_epsilon_c():
     assert metric_epsilon_c([{"metrics": {"feasible": False}}]) == 0.0
     with pytest.raises(ValueError):
         metric_epsilon_c([])
-
-
-def test_metric_binarization():
-    assert metric_binarization([0.95, -0.99, 0.5, -0.91]) == 0.75
-    assert metric_binarization([0.0, 0.5]) == 0.0
-    assert metric_binarization([-1.0, 1.0, 0.99]) == 1.0
 
 
 def test_run_plan_produces_paired_records(plan_results):
@@ -180,6 +177,40 @@ def test_replay_reproduces_outcome_bit_identically(plan_results):
         assert out.loss_final == rec["outcome"]["loss_final"]
 
 
+def test_committed_records_replay_bit_identically():
+    records = read_records(V0_1_0_RECORDS)
+    assert len(records) == 4
+    for rec in records:
+        out = replay_record(rec)
+        assert out.z.tolist() == rec["outcome"]["z"]
+        assert out.soft.tolist() == rec["outcome"]["soft"]
+        assert out.theta_final.tolist() == rec["outcome"]["theta_final"]
+        assert out.loss_final == rec["outcome"]["loss_final"]
+        assert out.inner_evals == rec["outcome"]["inner_evals"]
+        assert out.final_alpha == rec["outcome"]["final_alpha"]
+
+
+def test_committed_records_are_what_small_plan_writes(plan_results):
+    # compared as JSON text, so the key order of the schema counts too
+    strip = lambda recs: [
+        json.dumps({k: v for k, v in r.items() if k != "wall_time_s"}) for r in recs
+    ]
+    path, _, _ = plan_results
+    assert strip(read_records(path)) == strip(read_records(V0_1_0_RECORDS))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("optimizer", "x_tol", 1e-3),
+    ("optimizer", "method", "bfgs"),
+    ("encoding", "permute_seed", 5),
+])
+def test_replay_refuses_other_fixed_values(section, key, value):
+    rec = read_records(V0_1_0_RECORDS)[0]
+    rec["config"][section][key] = value
+    with pytest.raises(ValueError, match=f"{section}.{key}={value!r}"):
+        replay_record(rec)
+
+
 def test_replay_after_json_round_trip(plan_results):
     _, records, _ = plan_results
     rec = json.loads(json.dumps(records[0]))
@@ -201,6 +232,10 @@ def test_failure_records_keep_plan_running():
     records, report = run_plan(plan)
     assert len(report.failures) == 1
     assert "alpha" in report.failures[0]["error"]
+    frames = [line for line in report.failures[0]["traceback"].splitlines()
+              if line.lstrip().startswith("File ")]
+    # the innermost frame is the check that raised
+    assert "objective.py" in frames[-1] and "__post_init__" in frames[-1]
     ok = [r for r in records if "error" not in r]
     assert len(ok) == 1 and ok[0]["label"] == "ok"
     md = render_markdown(report)

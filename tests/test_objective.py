@@ -116,6 +116,8 @@ def test_binarization_threshold():
     assert binarization([0.95, -0.99, 0.5, -0.91]) == 0.75
     assert binarization([0.1, -0.5, 0.89]) == 0.0
     assert binarization([1.0, -1.0]) == 1.0
+    assert binarization([0.0, 0.5]) == 0.0
+    assert binarization([-1.0, 1.0, 0.99]) == 1.0
 
 
 def test_plateau_width():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -124,6 +125,24 @@ def test_baseline_cache(tmp_path, k6):
     # a different c gets its own entry
     baseline_cut(k6, 2, method="sa", cache_path=cache)
     assert len(json.loads(cache.read_text())) == 2
+
+
+def test_failed_cache_write_keeps_previous_cache(tmp_path, k6, monkeypatch):
+    cache = tmp_path / "baselines.json"
+    baseline_cut(k6, 3, method="sa", cache_path=cache)
+    before = cache.read_text()
+
+    def crash(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        baseline_cut(k6, 2, method="sa", cache_path=cache)
+    monkeypatch.undo()
+    assert cache.read_text() == before
+    assert list(tmp_path.iterdir()) == [cache]  # no temp file left behind
+    assert baseline_cut(k6, 3, method="sa", cache_path=cache) == 9.0
+    assert len(json.loads(cache.read_text())) == 1
 
 
 def test_baseline_auto_uses_exhaustive(k6):
