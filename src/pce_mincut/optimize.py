@@ -166,4 +166,3 @@ def random_init(dim: int, seed: int | None, low: float = -math.pi, high: float =
     if dim < 1:
         raise ValueError("dim must be at least 1")
     return np.random.default_rng(seed).uniform(low, high, size=dim)
-
