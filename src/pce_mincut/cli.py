@@ -7,8 +7,11 @@ Subcommands:
     bench      run an experiment plan, stream JSON-line records, report
     report     rebuild report tables / tidy CSVs from a records file
 
-Every subcommand accepts --config FILE; keys in that JSON file override the
-corresponding command-line flags.
+Every subcommand accepts --config FILE, a JSON object whose keys override
+the flags of the same name; a key that names no flag of the subcommand is
+an error. `bench` also takes the config-only key `solvers`, a list of
+SolverSpec keyword objects that replaces --solver/--alphas/--paired, so a
+campaign such as an eta sweep is one plan file (see plans/).
 """
 
 from __future__ import annotations
@@ -50,8 +53,14 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
         overrides = json.loads(Path(args.config).read_text())
+        # every flag of the subcommand has a default in args, and so has the
+        # config-only key `solvers` of bench
+        known = set(vars(args)) - {"func", "command", "config"}
         for key, value in overrides.items():
-            setattr(args, key.replace("-", "_"), value)
+            name = key.replace("-", "_")
+            if name not in known:
+                raise SystemExit(f"{args.config}: {key!r} is not a setting of {args.command}")
+            setattr(args, name, value)
     return args
 
 
@@ -149,17 +158,22 @@ def _graph_source_from_args(args) -> GraphSource:
                        drop_prob=args.drop_prob)
 
 
-def cmd_bench(args) -> int:
-    solvers: list[SolverSpec] = []
+def _plan_from_args(args) -> ExperimentPlan:
     common = _solver_kwargs(args)
-    if args.solver in ("iterative", "both"):
-        solvers.append(SolverSpec(label="iterative", mode="iterative",
-                                  paired_control=args.paired, **common))
-    if args.solver in ("fixed", "both"):
-        for alpha in args.alphas or [100.0]:
-            solvers.append(SolverSpec(label=f"fixed-a{alpha:g}", mode="fixed",
-                                      alpha=alpha, **common))
-    plan = ExperimentPlan(
+    if args.solvers is not None:
+        if args.alphas or args.paired:
+            raise SystemExit("bench: `solvers` replaces --alphas and --paired; give one or the other")
+        solvers = [SolverSpec(**{**common, **entry}) for entry in args.solvers]
+    else:
+        solvers = []
+        if args.solver in ("iterative", "both"):
+            solvers.append(SolverSpec(label="iterative", mode="iterative",
+                                      paired_control=args.paired, **common))
+        if args.solver in ("fixed", "both"):
+            for alpha in args.alphas or [100.0]:
+                solvers.append(SolverSpec(label=f"fixed-a{alpha:g}", mode="fixed",
+                                          alpha=alpha, **common))
+    return ExperimentPlan(
         graph=_graph_source_from_args(args),
         c_values=tuple(args.c_values) if args.c_values else None,
         repetitions=args.reps,
@@ -171,6 +185,18 @@ def cmd_bench(args) -> int:
         record_history=not args.no_history,
         workers=args.workers,
     )
+
+
+def _write_report(records: list[dict], report, out_dir, formats) -> None:
+    """The report tables in each format, plus the tidy runs.csv and history.csv."""
+    for fmt in formats:
+        emit_report(report, fmt, out_dir)
+    write_runs_csv(records, Path(out_dir) / "runs.csv")
+    write_history_csv(records, Path(out_dir) / "history.csv")
+
+
+def cmd_bench(args) -> int:
+    plan = _plan_from_args(args)
     done = {"count": 0}
 
     def tick(rec):
@@ -185,10 +211,7 @@ def cmd_bench(args) -> int:
 
     records, report = run_plan(plan, records_path=args.records, progress=tick)
     if args.report_dir:
-        for fmt in ("markdown", "json", "csv"):
-            emit_report(report, fmt, args.report_dir)
-        write_runs_csv(records, Path(args.report_dir) / "runs.csv")
-        write_history_csv(records, Path(args.report_dir) / "history.csv")
+        _write_report(records, report, args.report_dir, ("markdown", "json", "csv"))
     if not args.quiet:
         print(render_markdown(report))
     return 1 if report.failures else 0
@@ -197,11 +220,7 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     records = read_records(args.records)
     report = aggregate(records)
-    out_dir = Path(args.out)
-    for fmt in args.formats:
-        emit_report(report, fmt, out_dir)
-    write_runs_csv(records, out_dir / "runs.csv")
-    write_history_csv(records, out_dir / "history.csv")
+    _write_report(records, report, args.out, args.formats)
     print(render_markdown(report))
     return 1 if report.failures else 0
 
@@ -277,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     _add_solver_flags(p)
     _add_config_flag(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, solvers=None)
 
     p = sub.add_parser("report", help="rebuild tables from a records file")
     p.add_argument("--records", type=str, required=True)

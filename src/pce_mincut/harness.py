@@ -147,6 +147,8 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if not self.solvers:
+            raise ValueError("plan has no solvers")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.workers < 1:
@@ -302,12 +304,17 @@ def replay_record(record: dict, graph: WeightedGraph | None = None) -> SolveOutc
 
 
 def read_records(path) -> list[dict]:
+    """Records of a JSON-lines file; ValueError naming the line that does not parse."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not a JSON record ({exc})") from exc
     return records
 
 

@@ -195,7 +195,7 @@ def baseline_cut(
     if cache_path is not None:
         path = Path(cache_path)
         if path.exists():
-            cache = json.loads(path.read_text())
+            cache = _read_cache(path)
             if key in cache:
                 return float(cache[key])
 
@@ -208,6 +208,16 @@ def baseline_cut(
         cache[key] = value
         _write_atomically(Path(cache_path), json.dumps(cache, indent=0, sort_keys=True) + "\n")
     return value
+
+
+def _read_cache(path: Path) -> dict:
+    try:
+        cache = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"baseline cache {path} is not valid JSON ({exc})") from exc
+    if not isinstance(cache, dict):
+        raise ValueError(f"baseline cache {path} holds a {type(cache).__name__}, not a JSON object")
+    return cache
 
 
 def _write_atomically(path: Path, text: str) -> None:

@@ -1,7 +1,11 @@
 import json
 
-from pce_mincut.cli import main
+import pytest
+
+from pce_mincut.cli import _apply_config, _plan_from_args, build_parser, main
 from pce_mincut.graph import read_graph
+from pce_mincut.harness import SolverSpec
+from pce_mincut.optimize import OptimizerConfig
 
 
 def run_cli(*args):
@@ -85,3 +89,51 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 8}))
     assert run_cli("generate", "--n", 4, "--out", out, "--config", cfg) == 0
     assert read_graph(out).n == 8
+
+
+def bench_args(tmp_path, config, *flags):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(config))
+    argv = ["bench", "--config", str(path), *map(str, flags)]
+    return _apply_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("key", ["alpha", "func", "command", "config"])
+def test_config_rejects_unknown_key(tmp_path, key):
+    with pytest.raises(SystemExit, match=repr(key)):
+        bench_args(tmp_path, {key: [4.0, 8.0], "solver": "fixed"}, "--n", 4)
+
+
+def test_config_solvers_is_a_bench_key_only(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solvers": []}))
+    with pytest.raises(SystemExit, match="'solvers'"):
+        run_cli("generate", "--n", 4, "--out", tmp_path / "g.json", "--config", cfg)
+
+
+def test_config_solvers_take_the_shared_solver_flags(tmp_path):
+    args = bench_args(tmp_path, {"solvers": [
+        {"label": "a", "mode": "fixed", "alpha": 5.0},
+        {"label": "b", "mode": "fixed", "alpha": 5.0, "eta": 2.0},
+    ]}, "--n", 4, "--max-evals", 300, "--eta", 1.0)
+    assert _plan_from_args(args).solvers == (
+        SolverSpec(label="a", mode="fixed", alpha=5.0, eta=1.0,
+                   optimizer=OptimizerConfig(max_evals=300)),
+        SolverSpec(label="b", mode="fixed", alpha=5.0, eta=2.0,
+                   optimizer=OptimizerConfig(max_evals=300)),
+    )
+
+
+@pytest.mark.parametrize("flags", [("--alphas", 4), ("--paired",)])
+def test_config_solvers_refuse_solver_flags(tmp_path, flags):
+    args = bench_args(tmp_path, {"solvers": [{"label": "a", "mode": "fixed", "alpha": 5.0}]},
+                      "--n", 4, *flags)
+    with pytest.raises(SystemExit, match="solvers"):
+        _plan_from_args(args)
+
+
+def test_bench_refuses_a_plan_without_solvers(tmp_path):
+    # a config value skips argparse's choices check
+    args = bench_args(tmp_path, {"solver": "fixd"}, "--n", 4)
+    with pytest.raises(ValueError, match="no solvers"):
+        _plan_from_args(args)

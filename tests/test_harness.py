@@ -164,6 +164,15 @@ def test_runs_and_history_csv(tmp_path, plan_results):
     assert len(hist.read_text().strip().splitlines()) > 1
 
 
+def test_truncated_records_file_names_the_line(tmp_path, plan_results):
+    path, _, _ = plan_results
+    lines = path.read_text().splitlines(keepends=True)
+    cut = tmp_path / "killed.jsonl"
+    cut.write_text(lines[0] + lines[1][:300])  # a campaign killed mid-write
+    with pytest.raises(ValueError, match=r"killed\.jsonl, line 2"):
+        read_records(cut)
+
+
 def test_replay_reproduces_outcome_bit_identically(plan_results):
     _, records, _ = plan_results
     for rec in records:
@@ -251,6 +260,11 @@ def test_workers_produce_identical_records(tmp_path):
         {k: v for k, v in r.items() if k != "wall_time_s"} for r in recs
     ]
     assert strip(r1) == strip(r2)
+
+
+def test_plan_without_solvers_is_refused():
+    with pytest.raises(ValueError, match="no solvers"):
+        small_plan(solvers=())
 
 
 def test_plan_resolves_default_c_values():

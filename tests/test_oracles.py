@@ -145,5 +145,22 @@ def test_failed_cache_write_keeps_previous_cache(tmp_path, k6, monkeypatch):
     assert len(json.loads(cache.read_text())) == 1
 
 
+def test_corrupt_cache_names_its_file(tmp_path, k6):
+    cache = tmp_path / "baselines.json"
+    cache.write_text('{"abc:c3:exhaustive": 9.0')  # cut short
+    with pytest.raises(ValueError, match="baselines.json") as info:
+        baseline_cut(k6, 3, method="exhaustive", cache_path=cache)
+    assert "not valid JSON" in str(info.value)
+
+
+def test_cache_that_is_not_an_object_names_its_file(tmp_path, k6):
+    cache = tmp_path / "baselines.json"
+    cache.write_text("[9.0]\n")
+    with pytest.raises(ValueError, match="baselines.json") as info:
+        baseline_cut(k6, 3, method="exhaustive", cache_path=cache)
+    assert "not a JSON object" in str(info.value)
+    assert cache.read_text() == "[9.0]\n"
+
+
 def test_baseline_auto_uses_exhaustive(k6):
     assert baseline_cut(k6, 2, method="auto") == 8.0
