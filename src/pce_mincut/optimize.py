@@ -107,17 +107,17 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
         fvals = [f(v) for v in simplex]
 
         while True:
-            order = sorted(range(dim + 1), key=lambda i: fvals[i])
+            order = sorted(range(dim + 1), key=fvals.__getitem__)
             simplex = [simplex[i] for i in order]
             fvals = [fvals[i] for i in order]
 
-            spread_f = fvals[-1] - fvals[0]
-            spread_x = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-            if spread_f <= F_TOL and spread_x <= X_TOL:
+            # the vertex spread is only worth computing once the values agree
+            if (fvals[-1] - fvals[0] <= F_TOL
+                    and np.max(np.abs(np.array(simplex[1:]) - simplex[0])) <= X_TOL):
                 converged = True
                 break
 
-            centroid = np.mean(simplex[:-1], axis=0)
+            centroid = np.add.reduce(simplex[:-1]) / dim  # np.mean's sum and division
             worst = simplex[-1]
             reflected = centroid + (centroid - worst)
             fr = f(reflected)

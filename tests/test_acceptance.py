@@ -8,6 +8,7 @@ reproducible bit for bit.
 import itertools
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -214,16 +215,23 @@ def test_criterion_8_plateau_width_law():
 
 def test_criterion_9_iteration_count_sanity():
     t0 = time.monotonic()
+    cases = [(n, seed) for n, seeds in ((6, (0, 1)), (14, (0, 1)), (25, (0,)))
+             for seed in seeds]
+    # independent solves, two at a time, the longest (n=25) first
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        solves = {
+            (n, seed): pool.submit(solve_iterative,
+                                   default_config(generate_complete_graph(n), 2, seed=seed))
+            for n, seed in reversed(cases)
+        }
     checked = []
-    for n, seeds in ((6, (0, 1)), (14, (0, 1)), (25, (0,))):
-        g = generate_complete_graph(n)
-        for seed in seeds:
-            out = solve_iterative(default_config(g, 2, seed=seed))
-            assert out.outer_iters <= 50, (n, seed, out.outer_iters)
-            assert not out.capped, (n, seed)
-            if n == 25:  # loose band around the typical update count
-                assert 5 <= out.outer_iters <= 50
-            checked.append((n, out.outer_iters))
+    for n, seed in cases:
+        out = solves[n, seed].result()
+        assert out.outer_iters <= 50, (n, seed, out.outer_iters)
+        assert not out.capped, (n, seed)
+        if n == 25:  # loose band around the typical update count
+            assert 5 <= out.outer_iters <= 50
+        checked.append((n, out.outer_iters))
     report(
         f"9 iteration-count-sanity: PASS ({checked}, {time.monotonic() - t0:.0f}s)"
     )
