@@ -8,16 +8,18 @@ Subcommands:
     report     rebuild report tables / tidy CSVs from a records file
 
 Every subcommand accepts --config FILE, a JSON object whose keys override
-the flags of the same name; a key that names no flag of the subcommand is
-an error. `bench` also takes the config-only key `solvers`, a list of
-SolverSpec keyword objects that replaces --solver/--alphas/--paired, so a
-campaign such as an eta sweep is one plan file (see plans/).
+the flags of the same name; a key that names no flag of the subcommand, or
+a value that is not the JSON type of its flag, is an error. `bench` also
+takes the config-only key `solvers`, a list of SolverSpec keyword objects
+that replaces --solver/--alphas/--paired, so a campaign such as an eta
+sweep is one plan file (see plans/).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -50,9 +52,61 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# the JSON values that stand for each flag type, and their name in an error
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+_JSON_STRING = ((str,), "a string")
+
+
+def _fits_one(action: argparse.Action, value) -> bool:
+    if action.choices is not None:
+        return value in action.choices
+    kinds = _JSON_KINDS.get(action.type, _JSON_STRING)[0]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _config_mismatch(action: argparse.Action, value) -> str | None:
+    """What a config value for this flag must be, or None when it is that."""
+    if action.nargs == 0:
+        fits, want = isinstance(value, bool), "true or false"
+    else:
+        one = (f"one of {sorted(action.choices)}" if action.choices is not None
+               else _JSON_KINDS.get(action.type, _JSON_STRING)[1])
+        if action.nargs in ("*", "+"):
+            fits = isinstance(value, list) and all(_fits_one(action, v) for v in value)
+            want = f"a list whose items are each {one}"
+        else:
+            fits = _fits_one(action, value) or (value is None and action.default is None)
+            want = one if action.default is not None else f"{one} or null"
+    return None if fits else want
+
+
+def _subcommand_flags(command: str) -> dict[str, argparse.Action]:
+    """The flag definitions of a subcommand, by destination name."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _check_solvers(path, entries) -> None:
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SystemExit(f"{path}: 'solvers' must be a list of objects, got {entries!r}")
+    fields = {f.name for f in dataclasses.fields(SolverSpec)}
+    for i, entry in enumerate(entries):
+        for key in entry:
+            if key not in fields:
+                raise SystemExit(f"{path}: solvers[{i}] has key {key!r}, which is no "
+                                 f"solver setting (one of {sorted(fields)})")
+
+
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Override flags with the keys of the --config file.
+
+    A value must already be the JSON value the flag's type and choices
+    accept (4 or 4.0 for a number, never "4"). It is kept as JSON gives it,
+    so a plan file's `4` reaches the run records as `4`, not `4.0`.
+    """
     if getattr(args, "config", None):
         overrides = json.loads(Path(args.config).read_text())
+        flags = _subcommand_flags(args.command)
         # every flag of the subcommand has a default in args, and so has the
         # config-only key `solvers` of bench
         known = set(vars(args)) - {"func", "command", "config"}
@@ -60,6 +114,10 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             name = key.replace("-", "_")
             if name not in known:
                 raise SystemExit(f"{args.config}: {key!r} is not a setting of {args.command}")
+            if name == "solvers":
+                _check_solvers(args.config, value)
+            elif (want := _config_mismatch(flags[name], value)) is not None:
+                raise SystemExit(f"{args.config}: {key!r} must be {want}, got {value!r}")
             setattr(args, name, value)
     return args
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,11 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         """Weighted degree of each node, d_i = sum_j d_ij."""
         return self.weights.sum(axis=1)
+
+    @cached_property
+    def weight_sum(self) -> float:
+        """Sum of every weight-matrix entry: twice the total edge weight."""
+        return float(self.weights.sum())
 
     @property
     def edge_count(self) -> int:
@@ -132,7 +138,7 @@ def cut_size(g: WeightedGraph, z) -> float:
     """Total weight of edges whose endpoints carry opposite signs."""
     zf = _as_assignment(z, g.n)
     # sum_{i<j} d_ij (1 - z_i z_j)/2 == (sum(d) - z.W.z)/4 with zero diagonal
-    return float(0.25 * (g.weights.sum() - zf @ g.weights @ zf))
+    return float(0.25 * (g.weight_sum - zf @ g.weights @ zf))
 
 
 def partition_count(z) -> tuple[int, int]:

@@ -91,7 +91,7 @@ def loss(spec: ObjectiveSpec, expectations) -> float:
         raise ValueError(f"expected {n} expectation values, got shape {e.shape}")
     t = np.tanh(spec.alpha * e)
     w = spec.graph.weights
-    value = 0.25 * (w.sum() - t @ w @ t)
+    value = 0.25 * (spec.graph.weight_sum - t @ w @ t)
     value += spec.beta * (t.sum() - (n - 2 * spec.c)) ** 2
     if spec.eta > 0:
         value += regularization(t, spec.eta, n)

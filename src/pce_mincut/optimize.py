@@ -99,26 +99,30 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
 
     converged = False
     try:
-        simplex = [x0.copy()]
+        # the objective only ever sees fresh arrays: the initial vertices,
+        # the candidate points and the shrunk rows are built before they
+        # are written into the simplex
+        vertices = [x0.copy()]
         for i in range(dim):
             v = x0.copy()
             v[i] += INITIAL_STEP
-            simplex.append(v)
-        fvals = [f(v) for v in simplex]
+            vertices.append(v)
+        fvals = np.array([f(v) for v in vertices])
+        simplex = np.array(vertices)
 
         while True:
-            order = sorted(range(dim + 1), key=fvals.__getitem__)
-            simplex = [simplex[i] for i in order]
-            fvals = [fvals[i] for i in order]
+            order = np.argsort(fvals, kind="stable")  # the permutation a stable sort gives
+            simplex = simplex[order]
+            fvals = fvals[order]
 
             # the vertex spread is only worth computing once the values agree
             if (fvals[-1] - fvals[0] <= F_TOL
-                    and np.max(np.abs(np.array(simplex[1:]) - simplex[0])) <= X_TOL):
+                    and np.max(np.abs(simplex[1:] - simplex[0])) <= X_TOL):
                 converged = True
                 break
 
             centroid = np.add.reduce(simplex[:-1]) / dim  # np.mean's sum and division
-            worst = simplex[-1]
+            worst = simplex[-1]  # a view: compute every candidate before writing the row
             reflected = centroid + (centroid - worst)
             fr = f(reflected)
 
@@ -148,8 +152,8 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
                     continue
             # shrink everything toward the best vertex
             for i in range(1, dim + 1):
-                simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                fvals[i] = f(simplex[i])
+                shrunk = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                simplex[i], fvals[i] = shrunk, f(shrunk)
     except _BudgetExhausted:
         converged = False
 

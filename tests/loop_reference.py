@@ -1,0 +1,168 @@
+"""Loop versions of the vectorized hot paths, kept as bit-exact references.
+
+`prepare_state` builds each rotation column's matrices and unitary one column
+at a time, and `minimize` keeps the Nelder-Mead simplex as a Python list of
+vertex arrays sorted with `sorted`. Both do the same arithmetic, element by
+element and in the same order, as the vectorized code in the package, so
+the tests require equal bytes, not a tolerance. `minimize` can also record
+which Nelder-Mead step each iteration took, so tests can show that their
+objectives reach every branch.
+"""
+
+import math
+
+import numpy as np
+
+from pce_mincut.optimize import (
+    F_TOL,
+    INITIAL_STEP,
+    X_TOL,
+    EvaluationError,
+    OptimizeResult,
+    OptimizerConfig,
+)
+from pce_mincut.quantum import _KRON_COLUMN_MAX_QUBITS, _cz_mask, parameter_count
+
+
+def column_mats(ry, rz):
+    # one fused RZ(rz) @ RY(ry) per qubit: (m, 2, 2)
+    c, s = np.cos(ry / 2.0), np.sin(ry / 2.0)
+    pm = np.exp(-0.5j * rz)
+    pp = np.exp(0.5j * rz)
+    mats = np.empty((ry.shape[0], 2, 2), dtype=complex)
+    mats[:, 0, 0] = pm * c
+    mats[:, 0, 1] = -pm * s
+    mats[:, 1, 0] = pp * s
+    mats[:, 1, 1] = pp * c
+    return mats
+
+
+def kron_chain(mats):
+    u = mats[0]
+    for v in mats[1:]:
+        d = u.shape[0]
+        u = (u[:, None, :, None] * v[None, :, None, :]).reshape(2 * d, 2 * d)
+    return u
+
+
+def apply_1q(psi, mat, q):
+    v = psi.reshape(2**q, 2, -1)
+    out = np.empty_like(v)
+    out[:, 0] = mat[0, 0] * v[:, 0] + mat[0, 1] * v[:, 1]
+    out[:, 1] = mat[1, 0] * v[:, 0] + mat[1, 1] * v[:, 1]
+    return out.reshape(-1)
+
+
+def prepare_state(m, theta, layers=1):
+    theta = np.asarray(theta, dtype=float)
+    assert theta.shape == (parameter_count(m, layers),)
+    n_cols = 2 * layers + 1
+    cols = theta.reshape(n_cols, 2, m)
+    psi = np.zeros(2**m, dtype=complex)
+    psi[0] = 1.0
+    for c in range(n_cols):
+        mats = column_mats(cols[c, 0], cols[c, 1])
+        if m <= _KRON_COLUMN_MAX_QUBITS:
+            psi = kron_chain(mats) @ psi
+        else:
+            for q in range(m):
+                psi = apply_1q(psi, mats[q], q)
+        if c < n_cols - 1 and m > 1:
+            psi = psi * _cz_mask(m, c % 2)
+    return psi
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+def minimize(objective, x0, cfg=None, steps=None):
+    """List-based Nelder-Mead; appends each iteration's step name to `steps`."""
+    if cfg is None:
+        cfg = OptimizerConfig()
+    x0 = np.asarray(x0, dtype=float)
+    dim = x0.size
+    max_evals = cfg.budget(dim)
+    record = steps.append if steps is not None else (lambda name: None)
+
+    evals = 0
+    best_x = x0.copy()
+    best_f = math.inf
+
+    def f(x):
+        nonlocal evals, best_x, best_f
+        if evals >= max_evals:
+            raise _BudgetExhausted
+        value = float(objective(x))
+        evals += 1
+        if not math.isfinite(value):
+            raise EvaluationError(value, x)
+        if value < best_f:
+            best_f = value
+            best_x = np.array(x)
+        return value
+
+    converged = False
+    try:
+        simplex = [x0.copy()]
+        for i in range(dim):
+            v = x0.copy()
+            v[i] += INITIAL_STEP
+            simplex.append(v)
+        fvals = [f(v) for v in simplex]
+
+        while True:
+            order = sorted(range(dim + 1), key=fvals.__getitem__)
+            simplex = [simplex[i] for i in order]
+            fvals = [fvals[i] for i in order]
+
+            if (fvals[-1] - fvals[0] <= F_TOL
+                    and np.max(np.abs(np.array(simplex[1:]) - simplex[0])) <= X_TOL):
+                converged = True
+                break
+
+            centroid = np.add.reduce(simplex[:-1]) / dim
+            worst = simplex[-1]
+            reflected = centroid + (centroid - worst)
+            fr = f(reflected)
+
+            if fvals[0] <= fr < fvals[-2]:
+                record("reflect")
+                simplex[-1], fvals[-1] = reflected, fr
+                continue
+            if fr < fvals[0]:
+                expanded = centroid + 2.0 * (centroid - worst)
+                fe = f(expanded)
+                record("expand")
+                if fe < fr:
+                    simplex[-1], fvals[-1] = expanded, fe
+                else:
+                    simplex[-1], fvals[-1] = reflected, fr
+                continue
+            if fr < fvals[-1]:
+                contracted = centroid + 0.5 * (centroid - worst)
+                fc = f(contracted)
+                if fc <= fr:
+                    record("contract_outside")
+                    simplex[-1], fvals[-1] = contracted, fc
+                    continue
+            else:
+                contracted = centroid - 0.5 * (centroid - worst)
+                fc = f(contracted)
+                if fc < fvals[-1]:
+                    record("contract_inside")
+                    simplex[-1], fvals[-1] = contracted, fc
+                    continue
+            record("shrink")
+            for i in range(1, dim + 1):
+                simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                fvals[i] = f(simplex[i])
+    except _BudgetExhausted:
+        converged = False
+
+    return OptimizeResult(
+        best_params=best_x,
+        best_value=best_f,
+        evals=evals,
+        converged=converged,
+    )

@@ -133,7 +133,48 @@ def test_config_solvers_refuse_solver_flags(tmp_path, flags):
 
 
 def test_bench_refuses_a_plan_without_solvers(tmp_path):
-    # a config value skips argparse's choices check
-    args = bench_args(tmp_path, {"solver": "fixd"}, "--n", 4)
+    args = bench_args(tmp_path, {"solvers": []}, "--n", 4)
     with pytest.raises(ValueError, match="no solvers"):
         _plan_from_args(args)
+
+
+@pytest.mark.parametrize("config, want", [
+    ({"n": "4"}, "an integer or null"),
+    ({"reps": "1"}, "an integer"),
+    ({"reps": None}, "an integer"),
+    ({"reps": 1.5}, "an integer"),
+    ({"seed_base": True}, "an integer"),
+    ({"beta": "1000"}, "a number or null"),
+    ({"solver": "fixd"}, "one of ['both', 'fixed', 'iterative']"),
+    ({"alphas": [4, "8"]}, "a list whose items are each a number"),
+    ({"c_values": 2}, "a list whose items are each an integer"),
+    ({"paired": 1}, "true or false"),
+    ({"records": 7}, "a string or null"),
+])
+def test_config_refuses_a_value_of_the_wrong_type(tmp_path, config, want):
+    (key,) = config
+    with pytest.raises(SystemExit) as exc_info:
+        bench_args(tmp_path, config, "--n", 4)
+    message = str(exc_info.value)
+    assert message.startswith(str(tmp_path / "plan.json"))
+    assert f"{key!r} must be {want}, got {config[key]!r}" in message
+
+
+def test_config_keeps_json_values_that_fit(tmp_path):
+    args = bench_args(tmp_path, {"alphas": [4, 8.5], "beta": None, "c_values": [2],
+                                 "paired": False, "update_rule": "large_scale"}, "--n", 4)
+    assert args.alphas == [4, 8.5] and type(args.alphas[0]) is int
+    assert (args.beta, args.c_values, args.paired, args.update_rule) == (
+        None, [2], False, "large_scale")
+
+
+@pytest.mark.parametrize("solvers, match", [
+    ([{"label": "a", "mode": "fixed", "alpha": 5.0}, {"label": "b", "bogus": 1}],
+     r"solvers\[1\] has key 'bogus'"),
+    ([["fixed"]], "'solvers' must be a list of objects"),
+    ({"label": "a"}, "'solvers' must be a list of objects"),
+])
+def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
+    with pytest.raises(SystemExit, match=match) as exc_info:
+        bench_args(tmp_path, {"solvers": solvers}, "--n", 4)
+    assert str(exc_info.value).startswith(str(tmp_path / "plan.json"))

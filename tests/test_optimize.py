@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import loop_reference
+from pce_mincut.graph import generate_complete_graph
 from pce_mincut.optimize import (
     EvaluationError,
     OptimizerConfig,
     minimize,
     random_init,
 )
+from pce_mincut.solver import _Runtime, default_config
 
 
 def quadratic(x):
@@ -125,3 +128,76 @@ def test_random_init():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         random_init(0, seed=1)
+
+
+def evaluations(objective):
+    """Wrap objective so every (x, value) it sees is appended to .calls as bytes."""
+    def f(x):
+        value = objective(x)
+        f.calls.append((np.array(x).tobytes(), np.float64(value).tobytes()))
+        return value
+
+    f.calls = []
+    return f
+
+
+def pce_loss_k6():
+    cfg = default_config(generate_complete_graph(6), 3, alpha_mode="fixed", seed=0)
+    rt = _Runtime(cfg)
+    return rt.loss_fn(cfg.objective), random_init(rt.dim, cfg.seed)
+
+
+def pseudo_random(x):
+    # a rugged landscape: values with no structure the simplex can follow
+    return float(np.sin(1e3 * np.sum(x * np.arange(1, x.size + 1))))
+
+
+LOOP_CASES = {
+    "quadratic": (quadratic, np.array([5.0]), None),
+    "rosenbrock": (rosenbrock, np.array([-1.2, 1.0]), 5000),
+    "rosenbrock-budget": (rosenbrock, np.array([-1.2, 1.0]), 50),
+    "constant": (lambda x: 2.5, np.zeros(3), None),
+    # 4 vertices, a reflection, a contraction, then the budget ends mid-shrink
+    "constant-budget-mid-shrink": (lambda x: 2.5, np.zeros(3), 7),
+    "abs-sum": (lambda x: float(np.sum(np.abs(x - 0.3))), np.array([1.0, -2.0, 0.5]), None),
+    "pseudo-random": (pseudo_random, np.array([0.1, 0.2]), 300),
+    "pce-k6": (*pce_loss_k6(), 3000),
+}
+
+
+@pytest.mark.parametrize("name", LOOP_CASES)
+def test_minimize_matches_loop_reference_bit_for_bit(name):
+    objective, x0, max_evals = LOOP_CASES[name]
+    cfg = OptimizerConfig(max_evals=max_evals)
+    fast, ref = evaluations(objective), evaluations(objective)
+    got = minimize(fast, x0, cfg)
+    want = loop_reference.minimize(ref, x0, cfg)
+    assert fast.calls == ref.calls
+    assert got.best_params.tobytes() == want.best_params.tobytes()
+    assert (got.best_value, got.evals, got.converged) == (
+        want.best_value, want.evals, want.converged)
+
+
+def test_loop_cases_reach_every_step_and_stop():
+    steps, stops = set(), set()
+    for objective, x0, max_evals in LOOP_CASES.values():
+        taken = []
+        res = loop_reference.minimize(objective, x0, OptimizerConfig(max_evals=max_evals), taken)
+        steps.update(taken)
+        stops.add("converged" if res.converged else "budget")
+    assert steps == {"reflect", "expand", "contract_outside", "contract_inside", "shrink"}
+    assert stops == {"converged", "budget"}
+
+
+def test_minimize_matches_loop_reference_on_a_non_finite_value():
+    def bad(x):
+        # the simplex walks toward (-1, 0) and meets the NaN region on the way
+        return math.nan if x[0] < 0.2 else float(np.sum((x + [1.0, 0.0]) ** 2))
+
+    fast, ref = evaluations(bad), evaluations(bad)
+    with pytest.raises(EvaluationError) as got:
+        minimize(fast, np.array([1.0, 0.0]))
+    with pytest.raises(EvaluationError) as want:
+        loop_reference.minimize(ref, np.array([1.0, 0.0]))
+    assert fast.calls == ref.calls
+    assert got.value.params.tobytes() == want.value.params.tobytes()

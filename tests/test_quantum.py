@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_reference
 from dense_reference import dense_expectation, dense_prepare
 from pce_mincut.encoding import EncodingSpec, capacity, enumerate_strings
 from pce_mincut.quantum import (
@@ -54,6 +55,18 @@ def test_prepare_matches_dense_oracle(m, layers):
         fast = prepare_state(m, theta, layers)
         dense = dense_prepare(m, theta, layers)
         assert np.max(np.abs(fast - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/sweep switch at 7/8
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_prepare_matches_loop_reference_bit_for_bit(m, layers):
+    rng = np.random.default_rng(1000 * m + layers)
+    dim = parameter_count(m, layers)
+    thetas = [rng.uniform(-np.pi, np.pi, dim) for _ in range(3)]
+    thetas.append(rng.choice([0.0, -0.0, np.pi, -np.pi, np.pi / 2], dim))
+    for theta in thetas:
+        got = prepare_state(m, theta, layers)
+        assert got.tobytes() == loop_reference.prepare_state(m, theta, layers).tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
