@@ -254,7 +254,10 @@ def _write_report(records: list[dict], report, out_dir, formats) -> None:
 
 
 def cmd_bench(args) -> int:
-    plan = _plan_from_args(args)
+    try:
+        plan = _plan_from_args(args)
+    except ValueError as exc:  # a plan or solver value out of range
+        raise SystemExit(f"bench: {exc}") from exc
     done = {"count": 0}
 
     def tick(rec):

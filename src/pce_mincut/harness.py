@@ -30,6 +30,7 @@ from .graph import WeightedGraph, generate_complete_graph, graph_hash, read_grap
 from .objective import ObjectiveSpec, binarization
 from .optimize import F_TOL, INITIAL_STEP, METHOD, X_TOL, OptimizerConfig
 from .oracles import SaConfig, baseline_cut, normalized_cut
+from .quantum import numerics
 from .solver import (
     ANSATZ_LAYOUT,
     PceConfig,
@@ -56,7 +57,7 @@ __all__ = [
     "write_history_csv",
 ]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 HISTORY_FIELDS = ("iter", "alpha", "loss", "binarization", "minus_count")
 
@@ -198,6 +199,19 @@ _FIXED = {
 }
 
 
+# Records written before the numerics tag (artifact version 0.1.0) carry none;
+# that code ran the kron state preparation up to this register size and the
+# permutation kernel everywhere.
+_V0_1_0_KRON_MAX_QUBITS = 7
+
+
+def _recorded_numerics(d: dict) -> str:
+    if "numerics" in d:
+        return d["numerics"]
+    prepare = "kron" if d["encoding"]["m"] <= _V0_1_0_KRON_MAX_QUBITS else "sweep"
+    return f"prepare={prepare};kernel=perm"
+
+
 def config_to_dict(cfg: PceConfig) -> dict:
     obj = cfg.objective
     encoding = asdict(obj.encoding)
@@ -206,6 +220,7 @@ def config_to_dict(cfg: PceConfig) -> dict:
     return {
         **{name: getattr(cfg, name) for name in _SCHEDULE_FIELDS},
         "ansatz": ANSATZ_LAYOUT,
+        "numerics": numerics(obj.encoding.m),
         "objective": {name: getattr(obj, name) for name in _OBJECTIVE_FIELDS},
         "encoding": {**encoding, **_FIXED["encoding"]},
         # method leads the optimizer section, max_evals follows it
@@ -215,7 +230,15 @@ def config_to_dict(cfg: PceConfig) -> dict:
 
 
 def config_from_dict(d: dict, graph: WeightedGraph) -> PceConfig:
-    """Rebuild a record's config; ValueError if it ran under other fixed values."""
+    """Rebuild a record's config; ValueError if it ran under other fixed values
+    or other numerical paths than this code runs at its register size."""
+    m = d["encoding"]["m"]
+    recorded, running = _recorded_numerics(d), numerics(m)
+    if recorded != running:
+        raise ValueError(
+            f"record ran numerics {recorded!r}, but this code runs {running!r} "
+            f"at m={m}; it cannot be replayed"
+        )
     for section, fixed in _FIXED.items():
         for key, value in fixed.items():
             recorded = d[section].get(key)

@@ -17,7 +17,11 @@ column: within column c, theta[c*2m : c*2m+m] are the RY angles for qubits
 
 Expectation values are computed exactly (no shot sampling): a Pauli string
 acts as an index permutation plus a diagonal phase, so <P> costs one fancy
-index and one dot product per string.
+index and one dot product per string. From _WHT_MIN_QUBITS qubits on,
+ExpectationKernel instead rotates the state into the X and Y bases and reads
+every same-letter string off one Walsh-Hadamard transform of the three
+probability vectors, at a cost that does not grow with the string count.
+numerics(m) names the paths a register of m qubits runs.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "expectation",
     "expectations",
     "ExpectationKernel",
+    "numerics",
 ]
 
 
@@ -99,11 +104,12 @@ def _apply_1q(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
 
 
 # Registers up to this size apply each column as one 2^m x 2^m unitary, larger
-# ones sweep qubit by qubit. The sweep is not the slower path: it was measured
-# level at m=6 and 3.5x faster at m=7. The value stays 7 because the two paths
-# round differently (about 2e-16), so moving the switch changes output bits at
-# m=6-7; that waits until run records carry a numerics tag replay can check.
-_KRON_COLUMN_MAX_QUBITS = 7
+# ones sweep qubit by qubit. Per prepare_state call (1 layer, 1 BLAS thread,
+# 2-vCPU VM, best of 5, three runs), kron against sweep: m=5 50-52 vs 131-133
+# us, m=6 113-128 vs 159-166, m=7 359-391 vs 189-209, m=8 1,378-1,479 vs
+# 233-251. The paths round differently (about 2e-16), so this value is part
+# of numerics(m) and a run record names the path it ran.
+_KRON_COLUMN_MAX_QUBITS = 6
 
 
 def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
@@ -196,11 +202,83 @@ def expectations(state: np.ndarray, strings) -> np.ndarray:
     return np.array([expectation(state, p) for p in strings])
 
 
-class ExpectationKernel:
-    """Batched expectations for a fixed string list, for optimizer hot loops.
+# Registers from this size on run the Walsh-Hadamard kernel, smaller ones the
+# permutation kernel. Per call on full_xyz k=4 with n strings (1 BLAS thread,
+# 2-vCPU VM, best of 5), permutation against Walsh-Hadamard: m=6 n=45 7.5 vs
+# 18 us; m=7 n=51 13.7 vs 19.5, n=78 20.3 vs 19.2, n=105 26-108 vs 19-21 (the
+# permutation kernel's two 215 KB temporaries cost page faults whenever the
+# allocator hands them back to the OS); m=8 n=106 57 vs 26, n=210 120 vs 27;
+# m=9 n=211 273 vs 42, n=300 420 vs 42. m=8 is the first size where the
+# Walsh-Hadamard kernel wins at every n. The kernels round differently (about
+# 2e-16), so this value is part of numerics(m).
+_WHT_MIN_QUBITS = 8
 
-    Stacks every string's permutation and phase once so each call is a single
-    fancy index plus one matrix-vector product.
+
+def numerics(m: int) -> str:
+    """The state-preparation path and expectation kernel a register of m qubits runs."""
+    prepare = "kron" if m <= _KRON_COLUMN_MAX_QUBITS else "sweep"
+    kernel = "wht" if m >= _WHT_MIN_QUBITS else "perm"
+    return f"prepare={prepare};kernel={kernel}"
+
+
+@lru_cache(maxsize=None)
+def _hadamard_factors(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sylvester Hadamard matrices (entries +-1) of sizes 2^(m//2) and 2^(m-m//2).
+
+    Their Kronecker product is the unnormalized 2^m Walsh-Hadamard matrix, so
+    a transform of v is h_a @ v.reshape(2^(m//2), -1) @ h_b: two small matrix
+    products in place of m butterfly passes.
+    """
+    factors = []
+    for bits in (m // 2, m - m // 2):
+        h = np.ones((1, 1))
+        for _ in range(bits):
+            h = np.block([[h, h], [h, -h]])
+        h.setflags(write=False)
+        factors.append(h)
+    return factors[0], factors[1]
+
+
+def _wht(rows: np.ndarray, m: int) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row of a (r, 2^m) array."""
+    h_a, h_b = _hadamard_factors(m)
+    blocks = rows.reshape(rows.shape[0], h_a.shape[0], h_b.shape[0])
+    return (h_a @ blocks @ h_b).reshape(rows.shape)
+
+
+@lru_cache(maxsize=None)
+def _y_basis_phase(m: int) -> np.ndarray:
+    """(-i)^popcount(b): S-dagger on every qubit, which takes Y strings to X strings."""
+    popcount = np.zeros(2**m, dtype=np.int64)
+    for q in range(m):
+        popcount += (np.arange(2**m) >> q) & 1
+    phase = np.array([1, -1j, -1, 1j])[popcount % 4]
+    phase.setflags(write=False)
+    return phase
+
+
+def _letter_and_support(letters: str) -> tuple[str, int]:
+    """The one Pauli letter of a string ("Z" for the identity) and its support mask."""
+    kinds = set(letters) - {"I"}
+    if not kinds <= set("XYZ"):
+        raise ValueError(f"invalid Pauli letters {letters!r}")
+    if len(kinds) > 1:
+        raise ValueError(f"{letters!r} mixes Pauli letters; the kernel needs one letter per string")
+    m = len(letters)
+    mask = sum(1 << (m - 1 - q) for q, ch in enumerate(letters) if ch != "I")
+    return (kinds.pop() if kinds else "Z"), mask
+
+
+class ExpectationKernel:
+    """Batched expectations for a fixed list of same-letter strings, for optimizer hot loops.
+
+    Below _WHT_MIN_QUBITS qubits, stacks every string's permutation and phase
+    once so each call is a single fancy index plus one matrix-vector product.
+    From there on, each call rotates the state into the X basis (a transform
+    of psi) and the Y basis (a transform of psi * (-i)^popcount), squares the
+    amplitudes, runs one batched Walsh-Hadamard transform over the X, Y and Z
+    probability rows, and reads entry [letter, support mask] of each string:
+    <P_s> = sum_b p_letter[b] (-1)^popcount(b & s).
     """
 
     def __init__(self, strings, m: int | None = None):
@@ -211,12 +289,27 @@ class ExpectationKernel:
             m = len(letters[0])
         if any(len(s) != m for s in letters):
             raise ValueError("all strings must act on the same qubit count")
+        supports = [_letter_and_support(s) for s in letters]  # refuses mixed letters
         self.m = m
-        actions = [_pauli_action(s) for s in letters]
-        self._perm = np.stack([a[0] for a in actions])
-        self._phase = np.stack([a[1] for a in actions])
+        if m >= _WHT_MIN_QUBITS:
+            # flat index into the (3, 2^m) transformed rows, ordered X, Y, Z
+            self._entry = np.array(["XYZ".index(letter) * 2**m + mask
+                                    for letter, mask in supports])
+        else:
+            actions = [_pauli_action(s) for s in letters]
+            self._perm = np.stack([a[0] for a in actions])
+            self._phase = np.stack([a[1] for a in actions])
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         if state.shape[0] != 2**self.m:
             raise ValueError(f"state length {state.shape[0]}, kernel expects {2**self.m}")
-        return ((self._phase * state[self._perm]) @ np.conj(state)).real
+        if self.m < _WHT_MIN_QUBITS:
+            return ((self._phase * state[self._perm]) @ np.conj(state)).real
+        amps = np.empty((3, state.shape[0]), dtype=complex)
+        amps[0] = state
+        np.multiply(state, _y_basis_phase(self.m), out=amps[1])
+        amps[:2] = _wht(amps[:2], self.m)
+        amps[2] = state
+        probs = np.square(amps.real) + np.square(amps.imag)
+        probs[:2] *= 1.0 / state.shape[0]  # a power of two: exact
+        return _wht(probs, self.m).reshape(-1)[self._entry]

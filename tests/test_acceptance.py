@@ -37,6 +37,9 @@ from pce_mincut.oracles import SaConfig, exhaustive_best, sa_solve
 from pce_mincut.quantum import ExpectationKernel, parameter_count, prepare_state
 from pce_mincut.solver import default_config, solve_iterative, solve_pce
 
+# about 95% of the suite's wall time; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
+
 
 def report(line: str) -> None:
     print(f"\nACCEPTANCE {line}")

@@ -138,6 +138,20 @@ def test_bench_refuses_a_plan_without_solvers(tmp_path):
         _plan_from_args(args)
 
 
+def test_bench_exits_in_one_line_on_a_flag_out_of_range():
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("bench", "--n", 4, "--reps", 0)
+    assert str(exc_info.value) == "bench: repetitions must be at least 1"
+
+
+def test_bench_exits_in_one_line_on_a_config_value_out_of_range(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"reps": 0}))
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("bench", "--config", path, "--n", 4)
+    assert str(exc_info.value) == "bench: repetitions must be at least 1"
+
+
 @pytest.mark.parametrize("config, want", [
     ({"n": "4"}, "an integer or null"),
     ({"reps": "1"}, "an integer"),

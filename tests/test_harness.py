@@ -3,11 +3,14 @@ from pathlib import Path
 
 import pytest
 
+from pce_mincut.graph import generate_complete_graph
 from pce_mincut.harness import (
     ExperimentPlan,
     GraphSource,
     SolverSpec,
     aggregate,
+    config_from_dict,
+    config_to_dict,
     emit_report,
     metric_epsilon_c,
     read_records,
@@ -18,11 +21,14 @@ from pce_mincut.harness import (
     write_runs_csv,
 )
 from pce_mincut.optimize import OptimizerConfig
+from pce_mincut.quantum import numerics
+from pce_mincut.solver import default_config
 
 FAST = OptimizerConfig(max_evals=600)
 
-# the records of small_plan() as version 0.1.0 of the package wrote them
+# the records of small_plan() as versions 0.1.0 and 0.2.0 of the package wrote them
 V0_1_0_RECORDS = Path(__file__).parent / "data" / "records_v0_1_0.jsonl"
+V0_2_0_RECORDS = Path(__file__).parent / "data" / "records_v0_2_0.jsonl"
 
 
 def small_plan(**overrides):
@@ -205,7 +211,66 @@ def test_committed_records_are_what_small_plan_writes(plan_results):
         json.dumps({k: v for k, v in r.items() if k != "wall_time_s"}) for r in recs
     ]
     path, _, _ = plan_results
-    assert strip(read_records(path)) == strip(read_records(V0_1_0_RECORDS))
+    assert strip(read_records(path)) == strip(read_records(V0_2_0_RECORDS))
+
+
+def test_committed_records_differ_only_in_version_and_numerics():
+    # wall_time_s is a timing, which no two runs share
+    def strip(rec):
+        rec = {k: v for k, v in rec.items() if k not in ("artifact_version", "wall_time_s")}
+        rec["config"] = {k: v for k, v in rec["config"].items() if k != "numerics"}
+        return json.dumps(rec)
+
+    old, new = read_records(V0_1_0_RECORDS), read_records(V0_2_0_RECORDS)
+    assert [r["artifact_version"] for r in old] == ["0.1.0"] * 4
+    assert [r["artifact_version"] for r in new] == ["0.2.0"] * 4
+    assert all("numerics" not in r["config"] for r in old)
+    assert [strip(r) for r in old] == [strip(r) for r in new]
+
+
+def test_records_carry_the_numerics_they_ran(plan_results):
+    _, records, _ = plan_results
+    for rec in records:
+        assert rec["config"]["numerics"] == numerics(rec["config"]["encoding"]["m"])
+    assert records[0]["config"]["numerics"] == "prepare=kron;kernel=perm"
+
+
+def test_replay_refuses_a_v0_1_0_record_whose_path_moved():
+    # n in [51, 105] puts the register at m=7, which 0.1.0 prepared on the
+    # kron path and this code prepares on the sweep
+    plan = small_plan(
+        graph=GraphSource(kind="generate", n=60),
+        repetitions=1,
+        solvers=(SolverSpec(label="fixed", mode="fixed", alpha=3.0,
+                            optimizer=OptimizerConfig(max_evals=60)),),
+        baseline_method="sa",
+    )
+    (rec,), _ = run_plan(plan)
+    assert rec["config"]["encoding"]["m"] == 7
+    assert rec["config"]["numerics"] == "prepare=sweep;kernel=perm"
+    assert replay_record(rec).theta_final.tolist() == rec["outcome"]["theta_final"]
+    del rec["config"]["numerics"]
+    rec["artifact_version"] = "0.1.0"
+    with pytest.raises(ValueError, match=r"numerics 'prepare=kron;kernel=perm', "
+                                         r"but this code runs 'prepare=sweep;kernel=perm' at m=7"):
+        replay_record(rec)
+
+
+def test_replay_refuses_an_edited_numerics_tag():
+    rec = read_records(V0_2_0_RECORDS)[0]
+    rec["config"]["numerics"] = "prepare=sweep;kernel=wht"
+    with pytest.raises(ValueError, match=r"numerics 'prepare=sweep;kernel=wht', "
+                                         r"but this code runs 'prepare=kron;kernel=perm' at m=3"):
+        replay_record(rec)
+
+
+def test_untagged_config_above_m7_is_taken_to_have_run_the_perm_kernel():
+    graph = generate_complete_graph(250)  # m=9
+    d = config_to_dict(default_config(graph, 2))
+    assert d.pop("numerics") == "prepare=sweep;kernel=wht"
+    with pytest.raises(ValueError, match="numerics 'prepare=sweep;kernel=perm', "
+                                         "but this code runs 'prepare=sweep;kernel=wht' at m=9"):
+        config_from_dict(d, graph)
 
 
 @pytest.mark.parametrize("section, key, value", [

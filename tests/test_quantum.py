@@ -5,12 +5,16 @@ import loop_reference
 from dense_reference import dense_expectation, dense_prepare
 from pce_mincut.encoding import EncodingSpec, capacity, enumerate_strings
 from pce_mincut.quantum import (
+    _WHT_MIN_QUBITS,
     ExpectationKernel,
     expectation,
     expectations,
+    numerics,
     parameter_count,
     prepare_state,
 )
+
+T = _WHT_MIN_QUBITS
 
 
 def test_parameter_count():
@@ -57,7 +61,7 @@ def test_prepare_matches_dense_oracle(m, layers):
         assert np.max(np.abs(fast - dense)) < 1e-12
 
 
-@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/sweep switch at 7/8
+@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/sweep switch at 6/7
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_prepare_matches_loop_reference_bit_for_bit(m, layers):
     rng = np.random.default_rng(1000 * m + layers)
@@ -151,3 +155,64 @@ def test_pauli_bound_and_hermiticity(m):
             assert abs(val) <= 1.0 + 1e-12
             # the dense path asserts imag < 1e-10 internally
             dense_expectation(psi, s.letters)
+
+
+def test_numerics_names_each_path():
+    assert numerics(6) == "prepare=kron;kernel=perm"
+    assert numerics(7) == "prepare=sweep;kernel=perm"
+    assert numerics(8) == "prepare=sweep;kernel=wht"
+
+
+def _encodings(m):
+    """One encoding of each family and letter, mixed orders included."""
+    specs = [EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, k), k=k)
+             for k in (1, 2, 4)]
+    for pauli in "XYZ":
+        specs.append(EncodingSpec("single_pauli", m=m, n_vars=capacity("single_pauli", m, 3),
+                                  k=3, pauli=pauli))
+        specs.append(EncodingSpec("single_pauli_mixed", m=m, pauli=pauli, k_range=(1, m),
+                                  n_vars=capacity("single_pauli_mixed", m, (1, m))))
+    return specs
+
+
+@pytest.mark.parametrize("m", [T - 1, T, T + 1])
+def test_kernel_matches_perm_reference_across_the_wht_switch(m):
+    rng = np.random.default_rng(m + 31)
+    states = [prepare_state(m, rng.uniform(-np.pi, np.pi, parameter_count(m, layers)), layers)
+              for layers in (1, 2)]
+    for spec in _encodings(m):
+        strings = enumerate_strings(spec)
+        kernel = ExpectationKernel(strings)
+        for psi in states:
+            got = kernel(psi)
+            assert got.shape == (len(strings),)
+            assert np.allclose(got, expectations(psi, strings), rtol=0, atol=1e-13)
+
+
+def test_wht_kernel_exact_on_basis_states():
+    dim = 2**T
+    zero = np.zeros(dim, dtype=complex)
+    zero[0] = 1.0
+    plus = np.full(dim, 1 / np.sqrt(dim), dtype=complex)  # 1/16: exact at m=8
+    strings = enumerate_strings(EncodingSpec("full_xyz", m=T, n_vars=capacity("full_xyz", T, 2),
+                                             k=2))
+    kernel = ExpectationKernel(strings)
+    letters = [s.pauli for s in strings]
+    assert kernel(zero).tolist() == [1.0 if p == "Z" else 0.0 for p in letters]
+    assert kernel(plus).tolist() == [1.0 if p == "X" else 0.0 for p in letters]
+
+
+def test_wht_kernel_matches_dense_oracle():
+    rng = np.random.default_rng(41)
+    psi = prepare_state(T, rng.uniform(-np.pi, np.pi, parameter_count(T)))
+    strings = enumerate_strings(EncodingSpec("full_xyz", m=T, n_vars=capacity("full_xyz", T, 3),
+                                             k=3))[::23]
+    assert {s.pauli for s in strings} == set("XYZ")
+    want = [dense_expectation(psi, s.letters) for s in strings]
+    assert np.allclose(ExpectationKernel(strings)(psi), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, T])
+def test_kernel_refuses_mixed_letter_strings(m):
+    with pytest.raises(ValueError, match="mixes Pauli letters"):
+        ExpectationKernel(["XZ" + "I" * (m - 2)])
