@@ -37,8 +37,6 @@ from .harness import (
     read_records,
     render_markdown,
     run_plan,
-    write_history_csv,
-    write_runs_csv,
 )
 from .optimize import OptimizerConfig
 from .oracles import SaConfig, baseline_cut
@@ -170,15 +168,18 @@ def cmd_baseline(args) -> int:
 
 def cmd_solve(args) -> int:
     g = read_graph(args.graph)
-    cfg = default_config(
-        g, args.c,
-        alpha_mode=args.alpha_mode,
-        seed=args.seed,
-        alpha=args.alpha,
-        max_outer_iters=args.max_outer_iters,
-        alpha_cap=args.alpha_cap,
-        **_solver_kwargs(args),
-    )
+    try:
+        cfg = default_config(
+            g, args.c,
+            alpha_mode=args.alpha_mode,
+            seed=args.seed,
+            alpha=args.alpha,
+            max_outer_iters=args.max_outer_iters,
+            alpha_cap=args.alpha_cap,
+            **_solver_kwargs(args),
+        )
+    except ValueError as exc:  # a solver value out of range
+        raise SystemExit(f"solve: {exc}") from exc
     t0 = time.perf_counter()
     outcome = solve(cfg)
     wall = time.perf_counter() - t0
@@ -245,14 +246,6 @@ def _plan_from_args(args) -> ExperimentPlan:
     )
 
 
-def _write_report(records: list[dict], report, out_dir, formats) -> None:
-    """The report tables in each format, plus the tidy runs.csv and history.csv."""
-    for fmt in formats:
-        emit_report(report, fmt, out_dir)
-    write_runs_csv(records, Path(out_dir) / "runs.csv")
-    write_history_csv(records, Path(out_dir) / "history.csv")
-
-
 def cmd_bench(args) -> int:
     try:
         plan = _plan_from_args(args)
@@ -272,7 +265,7 @@ def cmd_bench(args) -> int:
 
     records, report = run_plan(plan, records_path=args.records, progress=tick)
     if args.report_dir:
-        _write_report(records, report, args.report_dir, ("markdown", "json", "csv"))
+        emit_report(records, report, args.report_dir)
     if not args.quiet:
         print(render_markdown(report))
     return 1 if report.failures else 0
@@ -281,7 +274,7 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     records = read_records(args.records)
     report = aggregate(records)
-    _write_report(records, report, args.out, args.formats)
+    emit_report(records, report, args.out)
     print(render_markdown(report))
     return 1 if report.failures else 0
 
@@ -361,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="rebuild tables from a records file")
     p.add_argument("--records", type=str, required=True)
-    p.add_argument("--formats", nargs="*", choices=["json", "csv", "markdown"],
-                   default=["markdown", "json"])
     p.add_argument("--out", type=str, default=".")
     _add_config_flag(p)
     p.set_defaults(func=cmd_report)

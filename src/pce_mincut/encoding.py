@@ -29,7 +29,6 @@ __all__ = [
     "capacity",
     "minimal_qubits",
     "enumerate_strings",
-    "commuting_groups",
 ]
 
 FAMILIES = ("full_xyz", "single_pauli", "single_pauli_mixed")
@@ -190,14 +189,3 @@ def enumerate_strings(spec: EncodingSpec) -> list[PauliString]:
                 letters.append(_string_at(spec.m, positions, spec.pauli))
     return [PauliString(s, variable_index=i) for i, s in enumerate(letters[: spec.n_vars])]
 
-
-def commuting_groups(strings) -> list[list[PauliString]]:
-    """Partition strings by Pauli letter; same-letter strings always commute.
-
-    Used for measurement-cost accounting: a full_xyz encoding needs three
-    measurement settings per iteration, single-letter encodings need one.
-    """
-    groups = {letter: [] for letter in PAULI_LETTERS}
-    for s in strings:
-        groups[s.pauli].append(s)
-    return [groups[letter] for letter in PAULI_LETTERS if groups[letter]]

@@ -110,7 +110,7 @@ class SolverSpec:
 
     label: str = "iterative"
     mode: str = "iterative"  # "fixed" | "iterative"
-    alpha: float | None = None  # required for fixed mode
+    alpha: float | None = None  # required for fixed mode, refused for iterative
     paired_control: bool = False
     beta: float | None = None
     eta: float = 0.0
@@ -128,6 +128,9 @@ class SolverSpec:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.mode == "fixed" and self.alpha is None:
             raise ValueError("fixed-alpha solver needs an alpha value")
+        if self.mode == "iterative" and self.alpha is not None:
+            raise ValueError("iterative solver starts at alpha0 and takes no alpha; "
+                             "set alpha0 instead")
         if self.paired_control and self.mode != "iterative":
             raise ValueError("paired_control only applies to iterative solvers")
 
@@ -168,18 +171,12 @@ class ExperimentPlan:
 
 # --- metrics -----------------------------------------------------------------
 
-def _record_feasible(record) -> bool:
-    if isinstance(record, dict):
-        return bool(record["metrics"]["feasible"])
-    return bool(record.feasible)
-
-
 def metric_epsilon_c(records) -> float:
-    """Fraction of runs whose decoded assignment satisfies the budget."""
+    """Fraction of run records whose decoded assignment satisfies the budget."""
     records = list(records)
     if not records:
         raise ValueError("epsilon_c needs at least one record")
-    return sum(_record_feasible(r) for r in records) / len(records)
+    return sum(bool(r["metrics"]["feasible"]) for r in records) / len(records)
 
 
 # --- record building and replay ----------------------------------------------
@@ -626,36 +623,26 @@ def _fmt(value, digits: int = 2) -> str:
     return f"{value:.{digits}f}"
 
 
-def emit_report(report: AggregateReport, fmt: str = "markdown", out_dir=".") -> list[Path]:
-    """Write the report as json, csv, or markdown tables; returns written paths."""
+def emit_report(records: list[dict], report: AggregateReport, out_dir=".") -> None:
+    """Write the report as markdown, json and csv tables, plus the tidy
+    runs.csv and history.csv of its records."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if fmt == "json":
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        written.append(path)
-    elif fmt == "csv":
-        for name, rows in (
-            ("report_rows.csv", report.rows),
-            ("report_contingency.csv", report.contingency),
-            ("report_paired.csv", report.paired_cuts),
-        ):
-            path = out_dir / name
-            with open(path, "w", newline="") as fh:
-                if rows:
-                    writer = csv.DictWriter(fh, fieldnames=list(asdict(rows[0])))
-                    writer.writeheader()
-                    for row in rows:
-                        writer.writerow(asdict(row))
-            written.append(path)
-    elif fmt == "markdown":
-        path = out_dir / "report.md"
-        path.write_text(render_markdown(report))
-        written.append(path)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    return written
+    (out_dir / "report.md").write_text(render_markdown(report))
+    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    for name, rows in (
+        ("report_rows.csv", report.rows),
+        ("report_contingency.csv", report.contingency),
+        ("report_paired.csv", report.paired_cuts),
+    ):
+        with open(out_dir / name, "w", newline="") as fh:
+            if rows:
+                writer = csv.DictWriter(fh, fieldnames=list(asdict(rows[0])))
+                writer.writeheader()
+                for row in rows:
+                    writer.writerow(asdict(row))
+    write_runs_csv(records, out_dir / "runs.csv")
+    write_history_csv(records, out_dir / "history.csv")
 
 
 def render_markdown(report: AggregateReport) -> str:

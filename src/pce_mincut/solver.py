@@ -1,12 +1,11 @@
-"""Solver workflows: fixed-sharpness runs and the iterative-alpha schedule.
+"""The solve loop: the iterative-alpha schedule, and fixed runs as its first step.
 
-A fixed run draws random ansatz angles, minimizes the loss at one alpha, and
-decodes the signs of the expectation values into a cut assignment.
-
-The iterative schedule starts at a small alpha and repeats: minimize at the
-current alpha (warm-started from the previous angles), then raise alpha just
-enough to push the not-yet-binarized soft value closest to the threshold M
-over it. Two update rules are available:
+A run draws random ansatz angles, minimizes the loss, and decodes the signs
+of the expectation values into a cut assignment. A fixed run minimizes once,
+at one alpha. The iterative schedule starts at a small alpha and repeats:
+minimize at the current alpha (warm-started from the previous angles), then
+raise alpha just enough to push the not-yet-binarized soft value closest to
+the threshold M over it. Two update rules are available:
 
     arctanh_ratio   alpha *= arctanh(M) / arctanh(|t*|)
     large_scale     alpha *= arctanh(M) / |t*|
@@ -36,8 +35,6 @@ __all__ = [
     "PceConfig",
     "SolveOutcome",
     "IterationRecord",
-    "solve_pce",
-    "solve_iterative",
     "solve",
     "next_alpha",
     "control_config",
@@ -137,7 +134,9 @@ def default_config(
     Order k is 2 up to 25 nodes, 3 up to 50, 4 above; the register is the
     smallest that fits n variables. Instances of 150+ nodes get a tighter
     binarization threshold (0.95) and a gentler starting alpha (1), and
-    sizes above 25 switch to the large_scale update rule.
+    sizes above 25 switch to the large_scale update rule. alpha is the
+    sharpness of a fixed run (default alpha0); iterative mode refuses it,
+    because its schedule starts at alpha0.
     """
     from .encoding import EncodingSpec, minimal_qubits
 
@@ -157,6 +156,8 @@ def default_config(
         alpha0 = 1.0 if n >= 150 else 3.0
     if update_rule is None:
         update_rule = "arctanh_ratio" if n <= 25 else "large_scale"
+    if alpha_mode == "iterative" and alpha is not None:
+        raise ValueError("iterative mode starts at alpha0 and takes no alpha; set alpha0 instead")
     if alpha is None:
         alpha = alpha0
     objective = ObjectiveSpec(graph=graph, encoding=enc, alpha=alpha, c=c,
@@ -173,59 +174,6 @@ def default_config(
         alpha_cap=alpha_cap,
         layers=layers,
     )
-
-
-class _Runtime:
-    """Shared per-solve machinery: string kernel and loss closure."""
-
-    def __init__(self, cfg: PceConfig):
-        self.cfg = cfg
-        enc = cfg.objective.encoding
-        self.m = enc.m
-        self.dim = parameter_count(self.m, cfg.layers)
-        self.kernel = ExpectationKernel(enumerate_strings(enc), enc.m)
-
-    def expectations(self, theta: np.ndarray) -> np.ndarray:
-        return self.kernel(prepare_state(self.m, theta, self.cfg.layers))
-
-    def loss_fn(self, spec: ObjectiveSpec):
-        def f(theta):
-            return loss(spec, self.expectations(theta))
-
-        return f
-
-
-def _finish(rt: _Runtime, spec: ObjectiveSpec, theta: np.ndarray, alpha: float,
-            total_evals: int, outer_iters: int, capped: bool,
-            history: list[IterationRecord] | None) -> SolveOutcome:
-    e = rt.expectations(theta)
-    soft = soft_values(np.clip(e, -1.0, 1.0), alpha)
-    z = decode(e)
-    return SolveOutcome(
-        z=z,
-        soft=soft,
-        feasible=is_feasible(z, spec.c),
-        cut=cut_size(spec.graph, z),
-        final_alpha=float(alpha),
-        outer_iters=outer_iters,
-        inner_evals=total_evals,
-        theta_final=theta,
-        loss_final=loss(replace(spec, alpha=alpha), e),
-        capped=capped,
-        history=history,
-    )
-
-
-def solve_pce(cfg: PceConfig) -> SolveOutcome:
-    """One fixed-alpha run: random angles, minimize, decode."""
-    if cfg.alpha_mode != "fixed":
-        raise ValueError("solve_pce expects alpha_mode='fixed'")
-    rt = _Runtime(cfg)
-    theta0 = random_init(rt.dim, cfg.seed)
-    spec = cfg.objective
-    result = minimize(rt.loss_fn(spec), theta0, cfg.optimizer)
-    return _finish(rt, spec, result.best_params, spec.alpha,
-                   result.evals, outer_iters=1, capped=False, history=None)
 
 
 def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> float:
@@ -255,33 +203,42 @@ def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> flo
     return float(alpha) * math.atanh(M) / denom
 
 
-def solve_iterative(cfg: PceConfig) -> SolveOutcome:
-    """Iterative-alpha run; outcome carries the per-iteration history.
+def solve(cfg: PceConfig) -> SolveOutcome:
+    """One run: random angles, the alpha schedule, then decode the signs.
 
-    A proposed alpha beyond alpha_cap is clamped to the cap and one last
-    inner optimization runs there before termination: at the cap tanh is
-    saturated for any practical expectation value, so that final run works
-    on the effectively discrete landscape and no further update can help.
+    Each outer step minimizes the loss at the current alpha, warm-started
+    from the previous angles. Iterative mode starts at alpha0 and then moves
+    alpha to next_alpha; a fixed run is the first step at objective.alpha,
+    with no update and no history. A proposed alpha beyond alpha_cap is
+    clamped to the cap and one last inner run executes there: at the cap
+    tanh is saturated for any practical expectation value, so no further
+    update can help.
+
+    The outcome's final_alpha, soft and loss_final are taken at the last
+    alpha the loop set. After max_outer_iters that is the alpha proposed
+    after the last inner run, which no inner run has used.
     """
-    if cfg.alpha_mode != "iterative":
-        raise ValueError("solve_iterative expects alpha_mode='iterative'")
-    rt = _Runtime(cfg)
-    theta = random_init(rt.dim, cfg.seed)
-    base_spec = cfg.objective
-    alpha = float(cfg.alpha0)
+    enc = cfg.objective.encoding
+    kernel = ExpectationKernel(enumerate_strings(enc), enc.m)
+
+    def expectations(theta):
+        return kernel(prepare_state(enc.m, theta, cfg.layers))
+
+    iterative = cfg.alpha_mode == "iterative"
+    alpha = float(cfg.alpha0) if iterative else cfg.objective.alpha
+    theta = random_init(parameter_count(enc.m, cfg.layers), cfg.seed)
     history: list[IterationRecord] = []
     total_evals = 0
     capped = False
-    at_cap = False
 
     for outer in range(1, cfg.max_outer_iters + 1):
-        spec = replace(base_spec, alpha=alpha)
-        result = minimize(rt.loss_fn(spec), theta, cfg.optimizer)
+        spec = replace(cfg.objective, alpha=alpha)
+        result = minimize(lambda th: loss(spec, expectations(th)), theta, cfg.optimizer)
         theta = result.best_params
         total_evals += result.evals
-        e = rt.expectations(theta)
+        e = expectations(theta)
         soft = soft_values(np.clip(e, -1.0, 1.0), alpha)
-        proposed = next_alpha(soft, alpha, cfg.M, cfg.update_rule)
+        proposed = next_alpha(soft, alpha, cfg.M, cfg.update_rule) if iterative else alpha
         done = proposed == alpha
         stalled = (not done) and math.isfinite(proposed) and proposed < alpha * STALL_FACTOR
         history.append(
@@ -295,22 +252,28 @@ def solve_iterative(cfg: PceConfig) -> SolveOutcome:
                 stalled=stalled,
             )
         )
-        if done or at_cap:
+        if done or capped:
             break
         if not math.isfinite(proposed) or proposed > cfg.alpha_cap:
             capped = True
-            at_cap = True
             alpha = cfg.alpha_cap
         else:
             alpha = proposed
 
-    return _finish(rt, base_spec, theta, alpha, total_evals,
-                   outer_iters=len(history), capped=capped, history=history)
-
-
-def solve(cfg: PceConfig) -> SolveOutcome:
-    """Dispatch on alpha_mode."""
-    return solve_iterative(cfg) if cfg.alpha_mode == "iterative" else solve_pce(cfg)
+    z = decode(e)
+    return SolveOutcome(
+        z=z,
+        soft=soft_values(np.clip(e, -1.0, 1.0), alpha),
+        feasible=is_feasible(z, cfg.objective.c),
+        cut=cut_size(cfg.objective.graph, z),
+        final_alpha=float(alpha),
+        outer_iters=len(history),
+        inner_evals=total_evals,
+        theta_final=theta,
+        loss_final=loss(replace(cfg.objective, alpha=alpha), e),
+        capped=capped,
+        history=history if iterative else None,
+    )
 
 
 def control_config(outcome: SolveOutcome, cfg: PceConfig) -> PceConfig:
@@ -329,4 +292,4 @@ def solve_pce_at_final_alpha(outcome: SolveOutcome, cfg: PceConfig) -> SolveOutc
     Uses seed + CONTROL_SEED_OFFSET so the control draws its own starting
     angles but stays replayable from the original config.
     """
-    return solve_pce(control_config(outcome, cfg))
+    return solve(control_config(outcome, cfg))

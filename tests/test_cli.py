@@ -47,6 +47,17 @@ def test_solve_prints_record(tmp_path, capsys):
     assert len(records.read_text().strip().splitlines()) == 1
 
 
+def test_solve_exits_in_one_line_on_alpha_in_iterative_mode(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    run_cli("generate", "--n", 6, "--out", graph)
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("solve", "--graph", graph, "--c", 2, "--alpha-mode", "iterative",
+                "--alpha", 5)
+    message = str(exc_info.value)
+    assert message.startswith("solve: ") and "alpha0" in message
+    assert "\n" not in message
+
+
 def test_bench_and_report_round_trip(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     report_dir = tmp_path / "report"

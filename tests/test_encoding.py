@@ -7,7 +7,6 @@ from pce_mincut.encoding import (
     EncodingSpec,
     PauliString,
     capacity,
-    commuting_groups,
     enumerate_strings,
     minimal_qubits,
 )
@@ -107,28 +106,14 @@ def test_pauli_string_validation():
     assert p.order_k == 2 and p.m == 3 and p.pauli == "X"
 
 
-def test_commuting_groups_full_xyz():
-    spec = EncodingSpec("full_xyz", m=3, n_vars=9, k=2)
-    groups = commuting_groups(enumerate_strings(spec))
-    assert [len(g) for g in groups] == [3, 3, 3]
-    assert {s.pauli for s in groups[0]} == {"X"}
-    assert {s.pauli for s in groups[2]} == {"Z"}
-
-
-def test_commuting_groups_single_pauli():
-    spec = EncodingSpec("single_pauli", m=4, n_vars=6, k=2, pauli="Z")
-    groups = commuting_groups(enumerate_strings(spec))
-    assert len(groups) == 1 and len(groups[0]) == 6
-
-
-def test_commuting_groups_empty():
-    assert commuting_groups([]) == []
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_groups_commute_under_matrix_multiplication(m):
+    # strings of one letter commute; the Walsh-Hadamard kernel relies on it
     spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
-    for group in commuting_groups(enumerate_strings(spec)):
+    groups = {}
+    for s in enumerate_strings(spec):
+        groups.setdefault(s.pauli, []).append(s)
+    for group in groups.values():
         mats = [pauli_matrix(s.letters) for s in group]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):

@@ -13,6 +13,7 @@ from pce_mincut.harness import (
     config_to_dict,
     emit_report,
     metric_epsilon_c,
+    outcome_to_dict,
     read_records,
     render_markdown,
     replay_record,
@@ -29,6 +30,11 @@ FAST = OptimizerConfig(max_evals=600)
 # the records of small_plan() as versions 0.1.0 and 0.2.0 of the package wrote them
 V0_1_0_RECORDS = Path(__file__).parent / "data" / "records_v0_1_0.jsonl"
 V0_2_0_RECORDS = Path(__file__).parent / "data" / "records_v0_2_0.jsonl"
+# one record per exit of the solve loop at n=6, c=2, seed 0, max_evals=400:
+# finished, outer cap (max_outer_iters=3), alpha cap (alpha_cap=50), and a
+# fixed run at alpha=30; written by version 0.2.0 before fixed runs and
+# iterative runs shared one loop
+EXIT_RECORDS = Path(__file__).parent / "data" / "records_exits_v0_2_0.jsonl"
 
 
 def small_plan(**overrides):
@@ -139,22 +145,16 @@ def test_cut_aggregates_exclude_infeasible():
 
 
 def test_emit_report_formats(tmp_path, plan_results):
-    _, _, report = plan_results
-    for fmt, names in (
-        ("json", ["report.json"]),
-        ("markdown", ["report.md"]),
-        ("csv", ["report_rows.csv", "report_contingency.csv", "report_paired.csv"]),
-    ):
-        written = emit_report(report, fmt, tmp_path)
-        assert [p.name for p in written] == names
-        for p in written:
-            assert p.exists()
+    _, records, report = plan_results
+    emit_report(records, report, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "history.csv", "report.json", "report.md", "report_contingency.csv",
+        "report_paired.csv", "report_rows.csv", "runs.csv",
+    ]
     md = (tmp_path / "report.md").read_text()
     # four feasibility combinations per paired group
     assert md.count("| Y | Y |") == 1
     assert md.count("| x | x |") == 1
-    with pytest.raises(ValueError):
-        emit_report(report, "yaml", tmp_path)
 
 
 def test_runs_and_history_csv(tmp_path, plan_results):
@@ -192,17 +192,33 @@ def test_replay_reproduces_outcome_bit_identically(plan_results):
         assert out.loss_final == rec["outcome"]["loss_final"]
 
 
-def test_committed_records_replay_bit_identically():
-    records = read_records(V0_1_0_RECORDS)
-    assert len(records) == 4
+@pytest.mark.parametrize("path, count", [
+    (V0_1_0_RECORDS, 4), (V0_2_0_RECORDS, 4), (EXIT_RECORDS, 4),
+], ids=["v0_1_0", "v0_2_0", "exits_v0_2_0"])
+def test_committed_records_replay_bit_identically(path, count):
+    records = read_records(path)
+    assert len(records) == count
     for rec in records:
-        out = replay_record(rec)
-        assert out.z.tolist() == rec["outcome"]["z"]
-        assert out.soft.tolist() == rec["outcome"]["soft"]
-        assert out.theta_final.tolist() == rec["outcome"]["theta_final"]
-        assert out.loss_final == rec["outcome"]["loss_final"]
-        assert out.inner_evals == rec["outcome"]["inner_evals"]
-        assert out.final_alpha == rec["outcome"]["final_alpha"]
+        # every outcome field: z, soft, theta_final, loss_final, evals,
+        # final_alpha, outer_iters, capped and the history
+        assert outcome_to_dict(replay_record(rec)) == rec["outcome"]
+
+
+def test_exit_records_cover_every_exit_of_the_loop():
+    finished, outer_cap, alpha_cap, fixed = read_records(EXIT_RECORDS)
+    out = finished["outcome"]
+    assert out["outer_iters"] < finished["config"]["max_outer_iters"]
+    assert not out["capped"] and finished["metrics"]["binarization"] == 1.0
+    assert out["final_alpha"] == out["history"][-1]["alpha"]
+    # the outer cap reports the alpha proposed after its last inner run
+    out = outer_cap["outcome"]
+    assert out["outer_iters"] == outer_cap["config"]["max_outer_iters"] == 3
+    assert out["final_alpha"] > out["history"][-1]["alpha"]
+    out = alpha_cap["outcome"]
+    assert out["capped"] and out["final_alpha"] == out["history"][-1]["alpha"] == 50.0
+    out = fixed["outcome"]
+    assert out["history"] is None and out["outer_iters"] == 1
+    assert out["final_alpha"] == fixed["config"]["objective"]["alpha"] == 30.0
 
 
 def test_committed_records_are_what_small_plan_writes(plan_results):
@@ -355,3 +371,5 @@ def test_solver_spec_validation():
         SolverSpec(label="f", mode="fixed", alpha=2.0, paired_control=True)
     with pytest.raises(ValueError):
         SolverSpec(label="f", mode="sideways")
+    with pytest.raises(ValueError, match="alpha0"):
+        SolverSpec(label="i", mode="iterative", alpha=50.0)

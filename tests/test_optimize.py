@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import loop_reference
+from pce_mincut.encoding import enumerate_strings
 from pce_mincut.graph import generate_complete_graph
+from pce_mincut.objective import loss
 from pce_mincut.optimize import (
     EvaluationError,
     OptimizerConfig,
     minimize,
     random_init,
 )
-from pce_mincut.solver import _Runtime, default_config
+from pce_mincut.quantum import ExpectationKernel, parameter_count, prepare_state
+from pce_mincut.solver import default_config
 
 
 def quadratic(x):
@@ -143,8 +146,14 @@ def evaluations(objective):
 
 def pce_loss_k6():
     cfg = default_config(generate_complete_graph(6), 3, alpha_mode="fixed", seed=0)
-    rt = _Runtime(cfg)
-    return rt.loss_fn(cfg.objective), random_init(rt.dim, cfg.seed)
+    spec = cfg.objective
+    m = spec.encoding.m
+    kernel = ExpectationKernel(enumerate_strings(spec.encoding), m)
+
+    def f(theta):
+        return loss(spec, kernel(prepare_state(m, theta, cfg.layers)))
+
+    return f, random_init(parameter_count(m, cfg.layers), cfg.seed)
 
 
 def pseudo_random(x):

@@ -13,8 +13,6 @@ from pce_mincut.solver import (
     default_config,
     next_alpha,
     solve,
-    solve_iterative,
-    solve_pce,
     solve_pce_at_final_alpha,
 )
 
@@ -66,7 +64,7 @@ def test_solve_pce_k3_feasible_cut_is_two(k3):
     # every 1:2 split of unit K3 cuts weight 2; fixed-alpha runs may still
     # land infeasible (that failure mode motivates the iterative schedule)
     outcomes = [
-        solve_pce(default_config(k3, 1, alpha_mode="fixed", alpha=100.0, seed=s))
+        solve(default_config(k3, 1, alpha_mode="fixed", alpha=100.0, seed=s))
         for s in range(4)
     ]
     feasible = [o for o in outcomes if o.feasible]
@@ -76,7 +74,7 @@ def test_solve_pce_k3_feasible_cut_is_two(k3):
 
 def test_solve_pce_deterministic(k6):
     cfg = default_config(k6, 2, alpha_mode="fixed", alpha=50.0, seed=11, optimizer=FAST)
-    a, b = solve_pce(cfg), solve_pce(cfg)
+    a, b = solve(cfg), solve(cfg)
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.theta_final, b.theta_final)
     assert a.cut == b.cut and a.loss_final == b.loss_final
@@ -84,15 +82,15 @@ def test_solve_pce_deterministic(k6):
 
 
 def test_small_alpha_cannot_binarize(k6):
-    out = solve_pce(default_config(k6, 2, alpha_mode="fixed", alpha=0.1, seed=0,
-                                   optimizer=FAST))
+    out = solve(default_config(k6, 2, alpha_mode="fixed", alpha=0.1, seed=0,
+                               optimizer=FAST))
     assert binarization(out.soft) == 0.0
     assert np.max(np.abs(out.soft)) <= math.tanh(0.1) + 1e-12
 
 
 def test_solve_iterative_k6(k6):
     for seed in range(3):
-        out = solve_iterative(default_config(k6, 3, seed=seed))
+        out = solve(default_config(k6, 3, seed=seed))
         assert out.feasible
         assert out.cut == 9.0  # every 3:3 split of unit K6
         assert not out.capped
@@ -102,7 +100,7 @@ def test_solve_iterative_k6(k6):
 
 def test_terminal_binarization(k6):
     cfg = default_config(k6, 2, seed=1)
-    out = solve_iterative(cfg)
+    out = solve(cfg)
     if not out.capped and out.outer_iters < cfg.max_outer_iters:
         assert np.all(np.abs(out.soft) >= cfg.M)
         assert binarization(out.soft) == 1.0
@@ -110,7 +108,7 @@ def test_terminal_binarization(k6):
 
 def test_alpha_sequence_strictly_increases(k6):
     cfg = default_config(k6, 2, seed=3, update_rule="large_scale")
-    out = solve_iterative(cfg)
+    out = solve(cfg)
     alphas = [h.alpha for h in out.history]
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
     assert alphas[0] == cfg.alpha0
@@ -118,7 +116,7 @@ def test_alpha_sequence_strictly_increases(k6):
 
 
 def test_history_minus_counts_and_evals(k6):
-    out = solve_iterative(default_config(k6, 2, seed=5))
+    out = solve(default_config(k6, 2, seed=5))
     assert sum(h.evals for h in out.history) == out.inner_evals
     for h in out.history:
         assert 0 <= h.minus_count <= 6
@@ -137,7 +135,7 @@ def test_warm_start_chains_theta(k6, monkeypatch):
         return res
 
     monkeypatch.setattr(solver_mod, "minimize", recording_minimize)
-    out = solve_iterative(default_config(k6, 2, seed=7, optimizer=FAST))
+    out = solve(default_config(k6, 2, seed=7, optimizer=FAST))
     assert len(starts) == out.outer_iters
     for t in range(1, len(starts)):
         assert np.array_equal(starts[t], finals[t - 1])
@@ -145,7 +143,7 @@ def test_warm_start_chains_theta(k6, monkeypatch):
 
 def test_iterative_deterministic(k6):
     cfg = default_config(k6, 3, seed=2, optimizer=FAST)
-    a, b = solve_iterative(cfg), solve_iterative(cfg)
+    a, b = solve(cfg), solve(cfg)
     assert np.array_equal(a.z, b.z)
     assert a.final_alpha == b.final_alpha
     assert a.outer_iters == b.outer_iters
@@ -156,7 +154,7 @@ def test_alpha_cap_flags_outcome(k6):
     # a cap below the first update forces capped termination after one
     # final inner run executed exactly at the cap value
     cfg = default_config(k6, 2, seed=0, optimizer=FAST, alpha_cap=4.0)
-    out = solve_iterative(cfg)
+    out = solve(cfg)
     if out.capped:
         assert out.final_alpha == 4.0
         assert out.history[-1].alpha == 4.0
@@ -168,19 +166,19 @@ def test_alpha_cap_flags_outcome(k6):
 def test_max_outer_iters_respected(k6):
     cfg = default_config(k6, 2, seed=0, optimizer=OptimizerConfig(max_evals=60),
                          max_outer_iters=3)
-    out = solve_iterative(cfg)
+    out = solve(cfg)
     assert out.outer_iters <= 3
 
 
 def test_control_run_pairs_with_iterative(k6):
     cfg = default_config(k6, 2, seed=9, optimizer=FAST)
-    out = solve_iterative(cfg)
+    out = solve(cfg)
     ctrl = solve_pce_at_final_alpha(out, cfg)
     assert ctrl.outer_iters == 1
     # fresh angles: the control must not share the iterative run's init
     ctrl2 = solve_pce_at_final_alpha(out, cfg)
     assert np.array_equal(ctrl.z, ctrl2.z)  # but it is deterministic
-    direct = solve_pce(
+    direct = solve(
         PceConfig(
             objective=type(cfg.objective)(
                 graph=cfg.objective.graph,
@@ -206,15 +204,6 @@ def test_solve_dispatch(k6):
     assert solve(iterative).history is not None
 
 
-def test_mode_mismatch_raises(k6):
-    fixed = default_config(k6, 2, alpha_mode="fixed", alpha=10.0, seed=0)
-    iterative = default_config(k6, 2, seed=0)
-    with pytest.raises(ValueError):
-        solve_iterative(fixed)
-    with pytest.raises(ValueError):
-        solve_pce(iterative)
-
-
 def test_config_validation(k6):
     with pytest.raises(ValueError):
         default_config(k6, 2, M=1.5)
@@ -222,6 +211,23 @@ def test_config_validation(k6):
         default_config(k6, 2, alpha0=-1.0)
     with pytest.raises(ValueError):
         default_config(k6, 2, update_rule="exponential")
+    with pytest.raises(ValueError):
+        default_config(k6, 2, alpha_mode="sharp")
+    # the schedule starts at alpha0; an alpha it never runs must not be recorded
+    with pytest.raises(ValueError, match="alpha0"):
+        default_config(k6, 2, alpha_mode="iterative", alpha=50.0)
+
+
+def test_fixed_run_is_the_first_step_of_the_schedule(k6):
+    fixed = solve(default_config(k6, 2, alpha_mode="fixed", alpha=30.0, seed=4,
+                                 optimizer=FAST))
+    first = solve(default_config(k6, 2, alpha0=30.0, seed=4, optimizer=FAST,
+                                 max_outer_iters=1))
+    assert np.array_equal(fixed.theta_final, first.theta_final)
+    assert np.array_equal(fixed.z, first.z)
+    assert fixed.inner_evals == first.inner_evals
+    assert first.history[0].loss == fixed.loss_final
+    assert fixed.history is None and fixed.outer_iters == 1
 
 
 def test_default_config_size_rules():
