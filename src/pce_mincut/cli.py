@@ -345,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--records", type=str, default=None, help="JSONL output path")
     p.add_argument("--report-dir", type=str, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes; each runs a round-robin share of the plan's cells "
+                        "in lockstep")
     p.add_argument("--no-history", action="store_true")
     p.add_argument("--quiet", action="store_true")
     _add_solver_flags(p)

@@ -1,11 +1,11 @@
 """Experiment orchestration: plans, run records, metrics, and reports.
 
 A plan fixes one graph, a set of budget values c, solver variants, and a
-repetition count; run_plan executes every cell, normalizes cut sizes
-against a classical baseline computed once per (graph, c), and streams one
-JSON record per run. Records carry everything needed to replay the run
-bit-identically, so reports are always rebuilt from records rather than
-from in-memory state.
+repetition count; run_plan executes every cell, all of them in lockstep
+(solver.run_lockstep), normalizes cut sizes against a classical baseline
+computed once per (graph, c), and streams one JSON record per run.
+Records carry everything needed to replay the run bit-identically, so
+reports are always rebuilt from records rather than from in-memory state.
 
 Iterative solvers may request a paired control: after each iterative run, a
 fresh fixed-alpha run at the alpha the iterative schedule reached, seeded
@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -37,8 +36,10 @@ from .solver import (
     SolveOutcome,
     control_config,
     default_config,
+    run_lockstep,
     solve,
-    solve_pce_at_final_alpha,
+    solve_pce_at_final_alpha,  # not called here; the benchmark traces this name
+    solve_steps,
 )
 
 __all__ = [
@@ -364,42 +365,56 @@ def _cell_seed(seed_base: int, c: int, rep: int) -> int:
     return seed_base + 1000 * c + rep
 
 
-def _run_cell(args: tuple) -> list[dict]:
-    graph, graph_info, spec, c, rep, seed_base, baseline, record_history = args
+def _cell_steps(cell: tuple, clock):
+    """A cell's runs as one step generator for run_lockstep: the solver's run,
+    then its paired control. Returns the cell's records; clock() reads the
+    cell's share of the driver's wall time so far."""
+    graph, graph_info, spec, c, rep, seed_base, baseline, record_history = cell
     pair_id = f"{spec.label}-c{c}-r{rep}"
-    try:
-        cfg = _build_config(graph, spec, c, _cell_seed(seed_base, c, rep))
-        t0 = time.perf_counter()
-        out = solve(cfg)
-        wall = time.perf_counter() - t0
-        role = "iterative" if cfg.alpha_mode == "iterative" else "single"
-        records = [
-            make_record(cfg, out, graph_info, spec.label, role,
-                        pair_id if spec.paired_control else None,
-                        baseline, wall, record_history)
-        ]
-        if spec.paired_control:
-            t0 = time.perf_counter()
-            ctrl = solve_pce_at_final_alpha(out, cfg)
-            wall = time.perf_counter() - t0
-            records.append(
-                make_record(control_config(out, cfg), ctrl, graph_info,
-                            f"{spec.label}-control", "control", pair_id,
-                            baseline, wall, record_history)
-            )
-        return records
-    except Exception as exc:  # failures are data; the plan continues
-        return [
-            {
-                "artifact_version": ARTIFACT_VERSION,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-                "label": spec.label,
-                "c": c,
-                "rep": rep,
-                "graph": graph_info,
-            }
-        ]
+    cfg = _build_config(graph, spec, c, _cell_seed(seed_base, c, rep))
+    out = yield from solve_steps(cfg)
+    wall = clock()
+    role = "iterative" if cfg.alpha_mode == "iterative" else "single"
+    records = [
+        make_record(cfg, out, graph_info, spec.label, role,
+                    pair_id if spec.paired_control else None,
+                    baseline, wall, record_history)
+    ]
+    if spec.paired_control:
+        ctrl_cfg = control_config(out, cfg)
+        ctrl = yield from solve_steps(ctrl_cfg)
+        records.append(
+            make_record(ctrl_cfg, ctrl, graph_info, f"{spec.label}-control", "control",
+                        pair_id, baseline, clock() - wall, record_history)
+        )
+    return records
+
+
+def _error_record(cell: tuple, exc: Exception) -> dict:
+    """A failed cell's record; failures are data and the plan goes on."""
+    _, graph_info, spec, c, rep, *_ = cell
+    return {
+        "artifact_version": ARTIFACT_VERSION,
+        "error": f"{type(exc).__name__}: {exc}",
+        "traceback": "".join(traceback.format_exception(exc)),
+        "label": spec.label,
+        "c": c,
+        "rep": rep,
+        "graph": graph_info,
+    }
+
+
+def _run_cells(cells: list[tuple]):
+    """Run cells in lockstep; yields (position, records) as each cell ends."""
+    spent = [0.0] * len(cells)
+    jobs = [_cell_steps(cell, lambda i=i: spent[i]) for i, cell in enumerate(cells)]
+    for i, result in run_lockstep(jobs, spent):
+        yield i, [_error_record(cells[i], result)] if isinstance(result, Exception) else result
+
+
+def _run_share(cells: list[tuple]) -> list[list[dict]]:
+    """One worker's cells, run in lockstep; their records in the given order."""
+    return [records for _, records in sorted(_run_cells(cells), key=lambda item: item[0])]
 
 
 def run_plan(
@@ -409,9 +424,14 @@ def run_plan(
 ) -> tuple[list[dict], "AggregateReport"]:
     """Execute every (solver, c, repetition) cell and aggregate the records.
 
-    Records stream to records_path (JSON lines, one record per line) as they
-    complete, so partial campaigns survive a crash. progress, if given, is
-    called with each record.
+    The cells run in lockstep (solver.run_lockstep), each worker process
+    driving a round-robin share of them. Records are released in cell order,
+    each cell's run before its control, as soon as every earlier cell has
+    ended: they stream to records_path (JSON lines, one record per line),
+    so the released prefix of a campaign survives a crash, and progress, if
+    given, is called with each record. A record's wall_time_s is its run's share of the
+    lockstep steps it took part in, so a plan's records add up to the time
+    its cells ran.
     """
     graph = plan.graph.load()
     graph_info = plan.graph.to_dict(graph)
@@ -433,17 +453,29 @@ def run_plan(
 
     writer = open(records_path, "w") if records_path is not None else None
     records: list[dict] = []
+    ended: dict[int, list[dict]] = {}  # records of cells waiting on an earlier cell
+    next_cell = 0
+
+    def release(position: int, cell_records: list[dict]) -> None:
+        nonlocal next_cell
+        ended[position] = cell_records
+        while next_cell in ended:
+            for rec in ended.pop(next_cell):
+                _emit_record(rec, records, writer, progress)
+            next_cell += 1
+
     try:
         if plan.workers > 1:
+            shares = [list(range(k, len(cells), plan.workers)) for k in range(plan.workers)]
             with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-                batches = pool.map(_run_cell, cells)
-                for batch in batches:
-                    for rec in batch:
-                        _emit_record(rec, records, writer, progress)
+                futures = {pool.submit(_run_share, [cells[j] for j in share]): share
+                           for share in shares if share}
+                for future in as_completed(futures):
+                    for j, cell_records in zip(futures[future], future.result()):
+                        release(j, cell_records)
         else:
-            for cell in cells:
-                for rec in _run_cell(cell):
-                    _emit_record(rec, records, writer, progress)
+            for j, cell_records in _run_cells(cells):
+                release(j, cell_records)
     finally:
         if writer is not None:
             writer.close()

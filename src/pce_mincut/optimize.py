@@ -7,7 +7,9 @@ evaluation budget is configurable; run records store the fixed values so
 that a record written under other values is refused, not replayed.
 
 Everything here is deterministic: identical (objective, x0, config) inputs
-replay the exact same evaluation sequence.
+replay the exact same evaluation sequence. nelder_mead is the method as a
+generator that asks for one value at a time, so a caller can serve many
+runs' requests together; minimize drives it with a Python objective.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "OptimizeResult",
     "EvaluationError",
     "minimize",
+    "nelder_mead",
     "random_init",
 ]
 
@@ -70,25 +73,27 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResult:
-    """Minimize a total real function of a real vector from the start point x0."""
-    if cfg is None:
-        cfg = OptimizerConfig()
+def nelder_mead(x0, max_evals: int):
+    """Nelder-Mead from the start point x0, as a generator of evaluation requests.
+
+    Yields each point whose value it needs and is sent that value; returns
+    the OptimizeResult once the simplex converges or max_evals values have
+    been received. A non-finite value raises EvaluationError.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("x0 must be a non-empty 1-D vector")
     dim = x0.size
-    max_evals = cfg.budget(dim)
 
     evals = 0
     best_x = x0.copy()
     best_f = math.inf
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray):
         nonlocal evals, best_x, best_f
         if evals >= max_evals:
             raise _BudgetExhausted
-        value = float(objective(x))
+        value = float((yield x))
         evals += 1
         if not math.isfinite(value):
             raise EvaluationError(value, x)
@@ -99,15 +104,18 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
 
     converged = False
     try:
-        # the objective only ever sees fresh arrays: the initial vertices,
-        # the candidate points and the shrunk rows are built before they
-        # are written into the simplex
+        # only fresh arrays are yielded: the initial vertices, the candidate
+        # points and the shrunk rows are built before they are written into
+        # the simplex
         vertices = [x0.copy()]
         for i in range(dim):
             v = x0.copy()
             v[i] += INITIAL_STEP
             vertices.append(v)
-        fvals = np.array([f(v) for v in vertices])
+        fvals = []
+        for v in vertices:
+            fvals.append((yield from f(v)))
+        fvals = np.array(fvals)
         simplex = np.array(vertices)
 
         while True:
@@ -124,14 +132,14 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
             centroid = np.add.reduce(simplex[:-1]) / dim  # np.mean's sum and division
             worst = simplex[-1]  # a view: compute every candidate before writing the row
             reflected = centroid + (centroid - worst)
-            fr = f(reflected)
+            fr = yield from f(reflected)
 
             if fvals[0] <= fr < fvals[-2]:
                 simplex[-1], fvals[-1] = reflected, fr
                 continue
             if fr < fvals[0]:
                 expanded = centroid + 2.0 * (centroid - worst)
-                fe = f(expanded)
+                fe = yield from f(expanded)
                 if fe < fr:
                     simplex[-1], fvals[-1] = expanded, fe
                 else:
@@ -140,20 +148,20 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
             # fr >= second worst: contract toward the better of worst/reflected
             if fr < fvals[-1]:
                 contracted = centroid + 0.5 * (centroid - worst)
-                fc = f(contracted)
+                fc = yield from f(contracted)
                 if fc <= fr:
                     simplex[-1], fvals[-1] = contracted, fc
                     continue
             else:
                 contracted = centroid - 0.5 * (centroid - worst)
-                fc = f(contracted)
+                fc = yield from f(contracted)
                 if fc < fvals[-1]:
                     simplex[-1], fvals[-1] = contracted, fc
                     continue
             # shrink everything toward the best vertex
             for i in range(1, dim + 1):
                 shrunk = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                simplex[i], fvals[i] = shrunk, f(shrunk)
+                simplex[i], fvals[i] = shrunk, (yield from f(shrunk))
     except _BudgetExhausted:
         converged = False
 
@@ -163,6 +171,22 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
         evals=evals,
         converged=converged,
     )
+
+
+def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResult:
+    """Minimize a total real function of a real vector from the start point x0.
+
+    Serves each point nelder_mead asks for with objective's value there.
+    """
+    if cfg is None:
+        cfg = OptimizerConfig()
+    run = nelder_mead(x0, cfg.budget(np.size(x0)))
+    try:
+        x = next(run)
+        while True:
+            x = run.send(objective(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def random_init(dim: int, seed: int | None, low: float = -math.pi, high: float = math.pi) -> np.ndarray:

@@ -70,10 +70,10 @@ def _cz_mask(m: int, parity: int) -> np.ndarray:
 def _column_mats(angles: np.ndarray) -> np.ndarray:
     """Fused RZ(rz) @ RY(ry) for every (column, qubit), built vectorized.
 
-    angles has shape (n_cols, 2, m), RY angles then RZ angles per column;
-    the result has shape (n_cols, m, 2, 2).
+    angles has shape (..., n_cols, 2, m), RY angles then RZ angles per
+    column; the result has shape (..., n_cols, m, 2, 2).
     """
-    ry, rz = angles[:, 0], angles[:, 1]
+    ry, rz = angles[..., 0, :], angles[..., 1, :]
     c, s = np.cos(ry / 2.0), np.sin(ry / 2.0)
     pm = np.exp(-0.5j * rz)
     pp = np.exp(0.5j * rz)
@@ -113,23 +113,34 @@ _KRON_COLUMN_MAX_QUBITS = 6
 
 
 def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
-    """Run the brickwork ansatz on |0...0>; returns a normalized statevector."""
+    """Run the brickwork ansatz on |0...0>; returns a normalized statevector.
+
+    theta may also be a (B, d) stack of angle vectors, which gives a (B, 2^m)
+    stack of states whose row b is bit-equal to prepare_state(m, theta[b]).
+    On the kron path the rows share one vectorized pass and one stacked
+    product per column; the sweep is arithmetic-bound and runs row by row.
+    """
     theta = np.asarray(theta, dtype=float)
     expected = parameter_count(m, layers)
-    if theta.shape != (expected,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != expected:
         raise ValueError(
-            f"theta has length {theta.shape}, ansatz on m={m}, layers={layers} "
-            f"needs {expected} angles"
+            f"theta has shape {theta.shape}, ansatz on m={m}, layers={layers} "
+            f"needs {expected} angles per row"
         )
-    n_cols = 2 * layers + 1
-    mats = _column_mats(theta.reshape(n_cols, 2, m))
     kron = m <= _KRON_COLUMN_MAX_QUBITS
+    if theta.ndim == 2 and not kron:
+        return np.stack([prepare_state(m, row, layers) for row in theta])
+    n_cols = 2 * layers + 1
+    batch = theta.shape[:-1]
+    mats = _column_mats(theta.reshape(batch + (n_cols, 2, m)))
     if kron:
-        unitaries = _kron_chain(mats)
-    psi = np.zeros(2**m, dtype=complex)
-    psi[0] = 1.0
+        unitaries = _kron_chain(mats.reshape(-1, m, 2, 2)).reshape(batch + (n_cols, 2**m, 2**m))
+    psi = np.zeros(batch + (2**m,), dtype=complex)
+    psi[..., 0] = 1.0
     for c in range(n_cols):
-        if kron:
+        if batch:
+            psi = np.matmul(unitaries[:, c], psi[:, :, None])[:, :, 0]
+        elif kron:
             psi = unitaries[c] @ psi
         else:
             for q in range(m):
@@ -273,7 +284,8 @@ class ExpectationKernel:
     """Batched expectations for a fixed list of same-letter strings, for optimizer hot loops.
 
     Below _WHT_MIN_QUBITS qubits, stacks every string's permutation and phase
-    once so each call is a single fancy index plus one matrix-vector product.
+    once so each call is a single gather, into a buffer kept between calls,
+    plus one matrix-vector product.
     From there on, each call rotates the state into the X basis (a transform
     of psi) and the Y basis (a transform of psi * (-i)^popcount), squares the
     amplitudes, runs one batched Walsh-Hadamard transform over the X, Y and Z
@@ -299,12 +311,28 @@ class ExpectationKernel:
             actions = [_pauli_action(s) for s in letters]
             self._perm = np.stack([a[0] for a in actions])
             self._phase = np.stack([a[1] for a in actions])
+            self._gathered = np.empty((0,) + self._phase.shape, dtype=complex)
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
-        if state.shape[0] != 2**self.m:
-            raise ValueError(f"state length {state.shape[0]}, kernel expects {2**self.m}")
+        """Expectations of every string: (S,) for a state, (B, S) for a (B, 2^m) stack.
+
+        Row b of a stack is bit-equal to the call on state[b].
+        """
+        if state.ndim not in (1, 2) or state.shape[-1] != 2**self.m:
+            raise ValueError(f"state shape {state.shape}, kernel expects (..., {2**self.m})")
+        if state.ndim == 2:
+            if self.m > _KRON_COLUMN_MAX_QUBITS:  # arithmetic-bound: row by row
+                return np.stack([self(row) for row in state])
+            rows = state.shape[0]
+            gathered = self._buffer(rows)
+            np.take(state, self._perm, axis=1, out=gathered, mode="wrap")
+            np.multiply(self._phase, gathered, out=gathered)
+            return np.matmul(gathered, np.conj(state)[:, :, None])[:, :, 0].real
         if self.m < _WHT_MIN_QUBITS:
-            return ((self._phase * state[self._perm]) @ np.conj(state)).real
+            gathered = self._buffer(1)[0]
+            np.take(state, self._perm, out=gathered, mode="wrap")
+            np.multiply(self._phase, gathered, out=gathered)
+            return (gathered @ np.conj(state)).real
         amps = np.empty((3, state.shape[0]), dtype=complex)
         amps[0] = state
         np.multiply(state, _y_basis_phase(self.m), out=amps[1])
@@ -313,3 +341,19 @@ class ExpectationKernel:
         probs = np.square(amps.real) + np.square(amps.imag)
         probs[:2] *= 1.0 / state.shape[0]  # a power of two: exact
         return _wht(probs, self.m).reshape(-1)[self._entry]
+
+    def _buffer(self, rows: int) -> np.ndarray:
+        """The (rows, S, 2^m) gather buffer, grown to fit and kept between calls.
+
+        Reusing it keeps each call free of large temporaries, whose cost
+        depends on whether the allocator hands them back to the OS; the
+        gathers into it pass mode="wrap", which changes no index (they all
+        lie in [0, 2^m)) but spares the copy that mode="raise" makes. It is
+        C-contiguous, so each row is an (S, 2^m) block laid out as the 1-D
+        product is: a stacked product over another layout, such as the
+        batch-innermost one that state[:, perm] returns, sums in another
+        order and rounds differently.
+        """
+        if self._gathered.shape[0] < rows:
+            self._gathered = np.empty((rows,) + self._phase.shape, dtype=complex)
+        return self._gathered[:rows]

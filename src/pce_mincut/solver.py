@@ -16,11 +16,16 @@ the second always applies at least the factor arctanh(M)/M > 1. The loop
 ends when every soft value clears M, when the outer-iteration cap is hit,
 or one inner run after the proposed alpha overflows the alpha cap (at the
 cap tanh is bitwise saturated and further updates are inert).
+
+solve runs one run. Independent runs can instead go through run_lockstep
+as solve_steps generators, which share each step's state preparation and
+expectation kernel and give bit for bit the outcomes solve gives.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +33,7 @@ import numpy as np
 from .encoding import enumerate_strings
 from .graph import cut_size
 from .objective import ObjectiveSpec, binarization, decode, is_feasible, loss, soft_values
-from .optimize import OptimizerConfig, minimize, random_init
+from .optimize import OptimizerConfig, minimize, nelder_mead, random_init
 from .quantum import ExpectationKernel, parameter_count, prepare_state
 
 __all__ = [
@@ -36,6 +41,8 @@ __all__ = [
     "SolveOutcome",
     "IterationRecord",
     "solve",
+    "solve_steps",
+    "run_lockstep",
     "next_alpha",
     "control_config",
     "solve_pce_at_final_alpha",
@@ -203,27 +210,15 @@ def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> flo
     return float(alpha) * math.atanh(M) / denom
 
 
-def solve(cfg: PceConfig) -> SolveOutcome:
-    """One run: random angles, the alpha schedule, then decode the signs.
+def _schedule(cfg: PceConfig, ansatz: tuple, minimize_at):
+    """The solve loop as a step generator; solve's docstring gives its semantics.
 
-    Each outer step minimizes the loss at the current alpha, warm-started
-    from the previous angles. Iterative mode starts at alpha0 and then moves
-    alpha to next_alpha; a fixed run is the first step at objective.alpha,
-    with no update and no history. A proposed alpha beyond alpha_cap is
-    clamped to the cap and one last inner run executes there: at the cap
-    tanh is saturated for any practical expectation value, so no further
-    update can help.
-
-    The outcome's final_alpha, soft and loss_final are taken at the last
-    alpha the loop set. After max_outer_iters that is the alpha proposed
-    after the last inner run, which no inner run has used.
+    Yields (ansatz, theta) for each state it needs and is sent theta's
+    expectation vector; returns the SolveOutcome. minimize_at(spec, theta)
+    is a step generator of one inner minimize that returns its
+    OptimizeResult.
     """
     enc = cfg.objective.encoding
-    kernel = ExpectationKernel(enumerate_strings(enc), enc.m)
-
-    def expectations(theta):
-        return kernel(prepare_state(enc.m, theta, cfg.layers))
-
     iterative = cfg.alpha_mode == "iterative"
     alpha = float(cfg.alpha0) if iterative else cfg.objective.alpha
     theta = random_init(parameter_count(enc.m, cfg.layers), cfg.seed)
@@ -233,10 +228,10 @@ def solve(cfg: PceConfig) -> SolveOutcome:
 
     for outer in range(1, cfg.max_outer_iters + 1):
         spec = replace(cfg.objective, alpha=alpha)
-        result = minimize(lambda th: loss(spec, expectations(th)), theta, cfg.optimizer)
+        result = yield from minimize_at(spec, theta)
         theta = result.best_params
         total_evals += result.evals
-        e = expectations(theta)
+        e = yield ansatz, theta
         soft = soft_values(np.clip(e, -1.0, 1.0), alpha)
         proposed = next_alpha(soft, alpha, cfg.M, cfg.update_rule) if iterative else alpha
         done = proposed == alpha
@@ -274,6 +269,134 @@ def solve(cfg: PceConfig) -> SolveOutcome:
         capped=capped,
         history=history if iterative else None,
     )
+
+
+def _ansatz(cfg: PceConfig) -> tuple:
+    """What a state depends on besides its angles: (m, layers, strings).
+
+    strings holds the strings' letters joined by spaces: a str caches its
+    hash, so grouping runs by ansatz costs the same at any string count.
+    """
+    enc = cfg.objective.encoding
+    return enc.m, cfg.layers, " ".join(p.letters for p in enumerate_strings(enc))
+
+
+def solve_steps(cfg: PceConfig):
+    """solve as a step generator for run_lockstep.
+
+    Yields (ansatz, theta) for every state of the run, each Nelder-Mead
+    evaluation included, and is sent theta's expectation vector; the loss of
+    each evaluation is computed here, per run. Returns the SolveOutcome,
+    bit-equal to solve(cfg).
+    """
+    ansatz = _ansatz(cfg)
+
+    def minimize_at(spec, theta):
+        run = nelder_mead(theta, cfg.optimizer.budget(theta.size))
+        x = next(run)
+        while True:
+            e = yield ansatz, x
+            try:
+                x = run.send(loss(spec, e))
+            except StopIteration as stop:
+                return stop.value
+
+    return _schedule(cfg, ansatz, minimize_at)
+
+
+def run_lockstep(jobs, spent: list[float] | None = None):
+    """Drive step generators together until each one returns.
+
+    A job yields (ansatz, theta), with ansatz = (m, layers, the strings'
+    letters joined by spaces), and is sent theta's expectation vector. Each step serves every waiting
+    job with one prepare_state call and one kernel call per ansatz, as a
+    (B, d) stack, or as the 1-D calls when one job waits on it. Rows
+    are bit-equal to 1-D calls, so no job's results depend on which jobs
+    share its steps.
+
+    Yields (index, value) as job `index` ends, where value is what it
+    returned or the exception it raised; the other jobs go on. If spent is
+    given, spent[i] accumulates job i's share of the wall time: each step's
+    time is split evenly over the jobs it served.
+    """
+    jobs = list(jobs)
+    kernels: dict[tuple, ExpectationKernel] = {}
+    waiting: dict[int, tuple] = {}
+    ended: list[tuple] = []
+
+    def advance(i, e=None, error=None):
+        try:
+            waiting[i] = jobs[i].send(e) if error is None else jobs[i].throw(error)
+        except StopIteration as stop:
+            ended.append((i, stop.value))
+        except Exception as exc:  # the job ends with its error; the others go on
+            ended.append((i, exc))
+
+    served = list(range(len(jobs)))
+    start = time.perf_counter()
+    for i in served:
+        advance(i)
+    while served:
+        if spent is not None:
+            share = (time.perf_counter() - start) / len(served)
+            for i in served:
+                spent[i] += share
+        yield from ended
+        ended.clear()
+        start = time.perf_counter()
+        groups: dict[tuple, list] = {}
+        for i, (ansatz, theta) in waiting.items():
+            groups.setdefault(ansatz, []).append((i, theta))
+        served = list(waiting)
+        waiting.clear()
+        for ansatz, rows in groups.items():
+            m, layers, strings = ansatz
+            try:
+                kernel = kernels.get(ansatz)
+                if kernel is None:
+                    kernel = kernels[ansatz] = ExpectationKernel(strings.split(), m)
+                if len(rows) == 1:
+                    es = [kernel(prepare_state(m, rows[0][1], layers))]
+                else:
+                    es = kernel(prepare_state(m, np.array([th for _, th in rows]), layers))
+            except Exception as exc:  # every job of the group gets the error
+                for i, _ in rows:
+                    advance(i, error=exc)
+                continue
+            for (i, _), e in zip(rows, es):
+                advance(i, e)
+
+
+def solve(cfg: PceConfig) -> SolveOutcome:
+    """One run: random angles, the alpha schedule, then decode the signs.
+
+    Each outer step minimizes the loss at the current alpha, warm-started
+    from the previous angles. Iterative mode starts at alpha0 and then moves
+    alpha to next_alpha; a fixed run is the first step at objective.alpha,
+    with no update and no history. A proposed alpha beyond alpha_cap is
+    clamped to the cap and one last inner run executes there: at the cap
+    tanh is saturated for any practical expectation value, so no further
+    update can help.
+
+    The outcome's final_alpha, soft and loss_final are taken at the last
+    alpha the loop set. After max_outer_iters that is the alpha proposed
+    after the last inner run, which no inner run has used.
+
+    A lone run has nothing to batch with, so its inner runs call minimize
+    on the loss directly; run_lockstep serves the rest of the loop.
+    """
+    enc = cfg.objective.encoding
+    kernel = ExpectationKernel(enumerate_strings(enc), enc.m)
+
+    def minimize_at(spec, theta):
+        return minimize(lambda th: loss(spec, kernel(prepare_state(enc.m, th, cfg.layers))),
+                        theta, cfg.optimizer)
+        yield  # a step generator that asks for nothing
+
+    ((_, outcome),) = run_lockstep([_schedule(cfg, _ansatz(cfg), minimize_at)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def control_config(outcome: SolveOutcome, cfg: PceConfig) -> PceConfig:

@@ -1,9 +1,14 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import pce_mincut.solver as solver_mod
+
 from pce_mincut.graph import generate_complete_graph
+from pce_mincut.encoding import enumerate_strings
 from pce_mincut.harness import (
     ExperimentPlan,
     GraphSource,
@@ -12,6 +17,7 @@ from pce_mincut.harness import (
     config_from_dict,
     config_to_dict,
     emit_report,
+    make_record,
     metric_epsilon_c,
     outcome_to_dict,
     read_records,
@@ -21,9 +27,15 @@ from pce_mincut.harness import (
     write_history_csv,
     write_runs_csv,
 )
-from pce_mincut.optimize import OptimizerConfig
-from pce_mincut.quantum import numerics
-from pce_mincut.solver import default_config
+from pce_mincut.optimize import OptimizerConfig, random_init
+from pce_mincut.oracles import baseline_cut
+from pce_mincut.quantum import ExpectationKernel, numerics, parameter_count, prepare_state
+from pce_mincut.solver import (
+    control_config,
+    default_config,
+    solve,
+    solve_pce_at_final_alpha,
+)
 
 FAST = OptimizerConfig(max_evals=600)
 
@@ -373,3 +385,93 @@ def test_solver_spec_validation():
         SolverSpec(label="f", mode="sideways")
     with pytest.raises(ValueError, match="alpha0"):
         SolverSpec(label="i", mode="iterative", alpha=50.0)
+
+
+# two encodings at n=6 (full_xyz k=2 on m=3, single_pauli k=2 on m=4), so
+# the lockstep driver serves two groups per step, each with paired controls
+LOCKSTEP_SOLVERS = (
+    SolverSpec(label="xyz", paired_control=True, optimizer=FAST),
+    SolverSpec(label="z", family="single_pauli", k=2, paired_control=True, optimizer=FAST),
+)
+LOCKSTEP_KW = dict(c_values=(2, 3), repetitions=2, solvers=LOCKSTEP_SOLVERS)
+
+
+def _strip(records):
+    return [json.dumps({k: v for k, v in r.items() if k != "wall_time_s"}) for r in records]
+
+
+@pytest.fixture(scope="module")
+def sequential_lockstep_records():
+    """The records of the lockstep plan, each cell run alone through solve."""
+    plan = small_plan(**LOCKSTEP_KW)
+    g = plan.graph.load()
+    records = []
+    for spec in plan.solvers:
+        for c in plan.c_values:
+            baseline = baseline_cut(g, c, method="exhaustive")
+            for rep in range(plan.repetitions):
+                cfg = default_config(g, c, seed=1000 * c + rep, family=spec.family,
+                                     k=spec.k, optimizer=FAST)
+                pair_id = f"{spec.label}-c{c}-r{rep}"
+                out = solve(cfg)
+                ctrl = solve_pce_at_final_alpha(out, cfg)
+                records.append(make_record(cfg, out, plan.graph.to_dict(g), spec.label,
+                                           "iterative", pair_id, baseline, 0.0))
+                records.append(make_record(control_config(out, cfg), ctrl,
+                                           plan.graph.to_dict(g), f"{spec.label}-control",
+                                           "control", pair_id, baseline, 0.0))
+    return records
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lockstep_plan_writes_the_records_of_sequential_runs(
+        workers, sequential_lockstep_records, tmp_path):
+    path = tmp_path / "records.jsonl"
+    records, report = run_plan(small_plan(**LOCKSTEP_KW, workers=workers), records_path=path)
+    assert not report.failures
+    assert _strip(records) == _strip(sequential_lockstep_records)
+    assert _strip(read_records(path)) == _strip(records)
+    assert all(r["wall_time_s"] > 0 for r in records)
+
+
+def test_a_failing_run_gives_its_error_record_in_place(
+        sequential_lockstep_records, monkeypatch):
+    # NaN at the first evaluation of the xyz run with seed 2001 (c=2, rep=1):
+    # its start angles give expectations no other run evaluates
+    g = small_plan().graph.load()
+    enc = default_config(g, 2).objective.encoding
+    e0 = ExpectationKernel(enumerate_strings(enc))(
+        prepare_state(enc.m, random_init(parameter_count(enc.m), 2001)))
+    real_loss = solver_mod.loss
+
+    def loss(spec, e):
+        return math.nan if np.array_equal(e, e0) else real_loss(spec, e)
+
+    monkeypatch.setattr(solver_mod, "loss", loss)
+    records, report = run_plan(small_plan(**LOCKSTEP_KW))
+    (failure,) = report.failures
+    assert failure is records[2]
+    assert failure["error"].startswith("EvaluationError")
+    assert (failure["label"], failure["c"], failure["rep"]) == ("xyz", 2, 1)
+    assert "nelder_mead" in failure["traceback"]
+    want = sequential_lockstep_records
+    assert _strip(records[:2] + records[3:]) == _strip(want[:2] + want[4:])
+    assert all(r["wall_time_s"] > 0 for r in records if "error" not in r)
+
+
+def test_a_failing_batched_call_fails_only_the_cells_it_served(
+        sequential_lockstep_records, monkeypatch):
+    real_prepare = solver_mod.prepare_state
+
+    def prepare_state(m, theta, layers=1):
+        if m == 4:  # the single_pauli cells' register
+            raise RuntimeError("no m=4 states")
+        return real_prepare(m, theta, layers)
+
+    monkeypatch.setattr(solver_mod, "prepare_state", prepare_state)
+    records, report = run_plan(small_plan(**LOCKSTEP_KW))
+    assert _strip(records[:8]) == _strip(sequential_lockstep_records[:8])
+    assert records[8:] == report.failures
+    assert [(r["label"], r["c"], r["rep"]) for r in report.failures] == [
+        ("z", c, rep) for c in (2, 3) for rep in (0, 1)]
+    assert all(r["error"] == "RuntimeError: no m=4 states" for r in report.failures)

@@ -216,3 +216,44 @@ def test_wht_kernel_matches_dense_oracle():
 def test_kernel_refuses_mixed_letter_strings(m):
     with pytest.raises(ValueError, match="mixes Pauli letters"):
         ExpectationKernel(["XZ" + "I" * (m - 2)])
+
+
+# kron path up to m=6, sweep from m=7, WHT kernel from m=8
+@pytest.mark.parametrize("m", range(1, 10))
+def test_stacked_calls_give_each_row_the_bytes_of_a_1d_call(m):
+    rng = np.random.default_rng(m + 47)
+    k = 1 if m < 4 else 2
+    strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, k), k=k))
+    for layers in (1, 2):
+        for rows in (1, 2, 7, 40):
+            thetas = rng.uniform(-np.pi, np.pi, (rows, parameter_count(m, layers)))
+            states = prepare_state(m, thetas, layers)
+            assert states.shape == (rows, 2**m)
+            values = ExpectationKernel(strings)(states)
+            assert values.shape == (rows, len(strings))
+            for theta, state, row in zip(thetas, states, values):
+                psi = prepare_state(m, theta, layers)
+                assert state.tobytes() == psi.tobytes()
+                assert row.tobytes() == ExpectationKernel(strings)(psi).tobytes()
+
+
+def test_kernel_buffers_survive_a_stack_that_shrinks_and_grows():
+    rng = np.random.default_rng(5)
+    strings = enumerate_strings(EncodingSpec("full_xyz", m=4, n_vars=capacity("full_xyz", 4, 2), k=2))
+    kernel, fresh = ExpectationKernel(strings), ExpectationKernel(strings)
+    for rows in (7, 2, 1, 3, 12, 1, 12):
+        states = prepare_state(4, rng.uniform(-np.pi, np.pi, (rows, parameter_count(4))))
+        values = kernel(states)
+        want = [fresh(psi) for psi in states]  # 1-D calls on a kernel of its own
+        assert [row.tobytes() for row in values] == [w.tobytes() for w in want]
+        assert kernel(states[0]).tobytes() == want[0].tobytes()
+
+
+def test_stacked_shapes_are_checked():
+    with pytest.raises(ValueError):
+        prepare_state(3, np.zeros((2, 17)))
+    with pytest.raises(ValueError):
+        prepare_state(3, np.zeros((2, 2, 18)))
+    kernel = ExpectationKernel(["ZII", "IZI"])
+    with pytest.raises(ValueError):
+        kernel(np.zeros((2, 4), dtype=complex))
