@@ -95,20 +95,16 @@ def _kron_chain(mats: np.ndarray) -> np.ndarray:
     return u
 
 
-def _apply_1q(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    v = psi.reshape(2**q, 2, -1)
-    out = np.empty_like(v)
-    out[:, 0] = mat[0, 0] * v[:, 0] + mat[0, 1] * v[:, 1]
-    out[:, 1] = mat[1, 0] * v[:, 0] + mat[1, 1] * v[:, 1]
-    return out.reshape(-1)
-
-
-# Registers up to this size apply each column as one 2^m x 2^m unitary, larger
-# ones sweep qubit by qubit. Per prepare_state call (1 layer, 1 BLAS thread,
-# 2-vCPU VM, best of 5, three runs), kron against sweep: m=5 50-52 vs 131-133
-# us, m=6 113-128 vs 159-166, m=7 359-391 vs 189-209, m=8 1,378-1,479 vs
-# 233-251. The paths round differently (about 2e-16), so this value is part
-# of numerics(m) and a run record names the path it ran.
+# Registers up to this size apply each column as one 2^m x 2^m unitary; larger
+# ones split it as U_hi (x) U_lo over qubits 0..m//2-1 and the rest and apply
+# psi <- U_hi @ psi @ U_lo^T on the (2^(m//2), 2^(m-m//2)) view of the state.
+# Per prepare_state call (1 layer, 1 BLAS thread, 2-vCPU VM, best of 5, two
+# runs), kron against split: m=3 21 vs 27-29 us, m=4 26 vs 29-30, m=5 39 vs
+# 32-33, m=6 85 vs 36-37, m=7 258-263 vs 43-44. Split wins from m=5, but the
+# paths round differently (about 2e-16), so this value is part of numerics(m)
+# and a run record names the path it ran: lowering it would change the bits
+# of every m=5 and m=6 record, the n=25 solves of the acceptance suite
+# included, and is a numerics change of its own.
 _KRON_COLUMN_MAX_QUBITS = 6
 
 
@@ -117,8 +113,8 @@ def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
 
     theta may also be a (B, d) stack of angle vectors, which gives a (B, 2^m)
     stack of states whose row b is bit-equal to prepare_state(m, theta[b]).
-    On the kron path the rows share one vectorized pass and one stacked
-    product per column; the sweep is arithmetic-bound and runs row by row.
+    The rows share one vectorized pass and one stacked product per column
+    (two on the split path).
     """
     theta = np.asarray(theta, dtype=float)
     expected = parameter_count(m, layers)
@@ -127,24 +123,27 @@ def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
             f"theta has shape {theta.shape}, ansatz on m={m}, layers={layers} "
             f"needs {expected} angles per row"
         )
-    kron = m <= _KRON_COLUMN_MAX_QUBITS
-    if theta.ndim == 2 and not kron:
-        return np.stack([prepare_state(m, row, layers) for row in theta])
     n_cols = 2 * layers + 1
     batch = theta.shape[:-1]
-    mats = _column_mats(theta.reshape(batch + (n_cols, 2, m)))
-    if kron:
-        unitaries = _kron_chain(mats.reshape(-1, m, 2, 2)).reshape(batch + (n_cols, 2**m, 2**m))
+    mats = _column_mats(theta.reshape(batch + (n_cols, 2, m))).reshape(-1, m, 2, 2)
+    split = m > _KRON_COLUMN_MAX_QUBITS
+    if split:
+        a, b = m // 2, m - m // 2
+        hi = _kron_chain(mats[:, :a]).reshape(batch + (n_cols, 2**a, 2**a))
+        lo_t = np.swapaxes(_kron_chain(mats[:, a:]), -1, -2)
+        lo_t = lo_t.reshape(batch + (n_cols, 2**b, 2**b))
+        view = batch + (2**a, 2**b)
+    else:
+        unitaries = _kron_chain(mats).reshape(batch + (n_cols, 2**m, 2**m))
     psi = np.zeros(batch + (2**m,), dtype=complex)
     psi[..., 0] = 1.0
     for c in range(n_cols):
-        if batch:
+        if split:
+            psi = (hi[..., c, :, :] @ psi.reshape(view) @ lo_t[..., c, :, :]).reshape(psi.shape)
+        elif batch:
             psi = np.matmul(unitaries[:, c], psi[:, :, None])[:, :, 0]
-        elif kron:
-            psi = unitaries[c] @ psi
         else:
-            for q in range(m):
-                psi = _apply_1q(psi, mats[c, q], q)
+            psi = unitaries[c] @ psi
         if c < n_cols - 1 and m > 1:
             psi = psi * _cz_mask(m, c % 2)
     return psi
@@ -227,7 +226,7 @@ _WHT_MIN_QUBITS = 8
 
 def numerics(m: int) -> str:
     """The state-preparation path and expectation kernel a register of m qubits runs."""
-    prepare = "kron" if m <= _KRON_COLUMN_MAX_QUBITS else "sweep"
+    prepare = "kron" if m <= _KRON_COLUMN_MAX_QUBITS else "split"
     kernel = "wht" if m >= _WHT_MIN_QUBITS else "perm"
     return f"prepare={prepare};kernel={kernel}"
 
@@ -321,7 +320,7 @@ class ExpectationKernel:
         if state.ndim not in (1, 2) or state.shape[-1] != 2**self.m:
             raise ValueError(f"state shape {state.shape}, kernel expects (..., {2**self.m})")
         if state.ndim == 2:
-            if self.m > _KRON_COLUMN_MAX_QUBITS:  # arithmetic-bound: row by row
+            if self.m >= _WHT_MIN_QUBITS:  # the transforms run row by row
                 return np.stack([self(row) for row in state])
             rows = state.shape[0]
             gathered = self._buffer(rows)

@@ -45,14 +45,6 @@ def kron_chain(mats):
     return u
 
 
-def apply_1q(psi, mat, q):
-    v = psi.reshape(2**q, 2, -1)
-    out = np.empty_like(v)
-    out[:, 0] = mat[0, 0] * v[:, 0] + mat[0, 1] * v[:, 1]
-    out[:, 1] = mat[1, 0] * v[:, 0] + mat[1, 1] * v[:, 1]
-    return out.reshape(-1)
-
-
 def prepare_state(m, theta, layers=1):
     theta = np.asarray(theta, dtype=float)
     assert theta.shape == (parameter_count(m, layers),)
@@ -65,8 +57,10 @@ def prepare_state(m, theta, layers=1):
         if m <= _KRON_COLUMN_MAX_QUBITS:
             psi = kron_chain(mats) @ psi
         else:
-            for q in range(m):
-                psi = apply_1q(psi, mats[q], q)
+            # (U_hi kron U_lo) psi on the (2^a, 2^(m-a)) view of psi
+            a = m // 2
+            view = psi.reshape(2**a, 2 ** (m - a))
+            psi = ((kron_chain(mats[:a]) @ view) @ kron_chain(mats[a:]).T).reshape(-1)
         if c < n_cols - 1 and m > 1:
             psi = psi * _cz_mask(m, c % 2)
     return psi

@@ -47,6 +47,9 @@ V0_2_0_RECORDS = Path(__file__).parent / "data" / "records_v0_2_0.jsonl"
 # fixed run at alpha=30; written by version 0.2.0 before fixed runs and
 # iterative runs shared one loop
 EXIT_RECORDS = Path(__file__).parent / "data" / "records_exits_v0_2_0.jsonl"
+# one fixed run each at m=7 (n=60) and m=8 (n=110), which prepare their
+# states on the split path; written by SPLIT_PLANS
+SPLIT_RECORDS = Path(__file__).parent / "data" / "records_split_v0_2_0.jsonl"
 
 
 def small_plan(**overrides):
@@ -61,6 +64,19 @@ def small_plan(**overrides):
     )
     defaults.update(overrides)
     return ExperimentPlan(**defaults)
+
+
+def split_plan(n):
+    return small_plan(
+        graph=GraphSource(kind="generate", n=n),
+        repetitions=1,
+        solvers=(SolverSpec(label="fixed", mode="fixed", alpha=3.0,
+                            optimizer=OptimizerConfig(max_evals=60)),),
+        baseline_method="sa",
+    )
+
+
+SPLIT_PLANS = (split_plan(60), split_plan(110))
 
 
 @pytest.fixture(scope="module")
@@ -205,8 +221,8 @@ def test_replay_reproduces_outcome_bit_identically(plan_results):
 
 
 @pytest.mark.parametrize("path, count", [
-    (V0_1_0_RECORDS, 4), (V0_2_0_RECORDS, 4), (EXIT_RECORDS, 4),
-], ids=["v0_1_0", "v0_2_0", "exits_v0_2_0"])
+    (V0_1_0_RECORDS, 4), (V0_2_0_RECORDS, 4), (EXIT_RECORDS, 4), (SPLIT_RECORDS, 2),
+], ids=["v0_1_0", "v0_2_0", "exits_v0_2_0", "split_v0_2_0"])
 def test_committed_records_replay_bit_identically(path, count):
     records = read_records(path)
     assert len(records) == count
@@ -233,13 +249,15 @@ def test_exit_records_cover_every_exit_of_the_loop():
     assert out["final_alpha"] == fixed["config"]["objective"]["alpha"] == 30.0
 
 
-def test_committed_records_are_what_small_plan_writes(plan_results):
+def _json_without_wall_time(records):
     # compared as JSON text, so the key order of the schema counts too
-    strip = lambda recs: [
-        json.dumps({k: v for k, v in r.items() if k != "wall_time_s"}) for r in recs
-    ]
+    return [json.dumps({k: v for k, v in r.items() if k != "wall_time_s"}) for r in records]
+
+
+def test_committed_records_are_what_small_plan_writes(plan_results):
     path, _, _ = plan_results
-    assert strip(read_records(path)) == strip(read_records(V0_2_0_RECORDS))
+    assert (_json_without_wall_time(read_records(path))
+            == _json_without_wall_time(read_records(V0_2_0_RECORDS)))
 
 
 def test_committed_records_differ_only_in_version_and_numerics():
@@ -263,24 +281,31 @@ def test_records_carry_the_numerics_they_ran(plan_results):
     assert records[0]["config"]["numerics"] == "prepare=kron;kernel=perm"
 
 
+def test_committed_split_records_are_what_small_plan_writes():
+    written = [rec for plan in SPLIT_PLANS for rec in run_plan(plan)[0]]
+    assert _json_without_wall_time(written) == _json_without_wall_time(read_records(SPLIT_RECORDS))
+    assert [r["config"]["numerics"] for r in written] == [
+        "prepare=split;kernel=perm", "prepare=split;kernel=wht"]
+
+
 def test_replay_refuses_a_v0_1_0_record_whose_path_moved():
     # n in [51, 105] puts the register at m=7, which 0.1.0 prepared on the
-    # kron path and this code prepares on the sweep
-    plan = small_plan(
-        graph=GraphSource(kind="generate", n=60),
-        repetitions=1,
-        solvers=(SolverSpec(label="fixed", mode="fixed", alpha=3.0,
-                            optimizer=OptimizerConfig(max_evals=60)),),
-        baseline_method="sa",
-    )
-    (rec,), _ = run_plan(plan)
+    # kron path and this code prepares on the split path
+    rec = read_records(SPLIT_RECORDS)[0]
     assert rec["config"]["encoding"]["m"] == 7
-    assert rec["config"]["numerics"] == "prepare=sweep;kernel=perm"
-    assert replay_record(rec).theta_final.tolist() == rec["outcome"]["theta_final"]
     del rec["config"]["numerics"]
     rec["artifact_version"] = "0.1.0"
     with pytest.raises(ValueError, match=r"numerics 'prepare=kron;kernel=perm', "
-                                         r"but this code runs 'prepare=sweep;kernel=perm' at m=7"):
+                                         r"but this code runs 'prepare=split;kernel=perm' at m=7"):
+        replay_record(rec)
+
+
+def test_replay_refuses_a_record_that_ran_the_sweep():
+    # 0.2.0 prepared m >= 7 qubit by qubit before the split path replaced it
+    rec = read_records(SPLIT_RECORDS)[0]
+    rec["config"]["numerics"] = "prepare=sweep;kernel=perm"
+    with pytest.raises(ValueError, match=r"numerics 'prepare=sweep;kernel=perm', "
+                                         r"but this code runs 'prepare=split;kernel=perm' at m=7"):
         replay_record(rec)
 
 
@@ -295,9 +320,9 @@ def test_replay_refuses_an_edited_numerics_tag():
 def test_untagged_config_above_m7_is_taken_to_have_run_the_perm_kernel():
     graph = generate_complete_graph(250)  # m=9
     d = config_to_dict(default_config(graph, 2))
-    assert d.pop("numerics") == "prepare=sweep;kernel=wht"
+    assert d.pop("numerics") == "prepare=split;kernel=wht"
     with pytest.raises(ValueError, match="numerics 'prepare=sweep;kernel=perm', "
-                                         "but this code runs 'prepare=sweep;kernel=wht' at m=9"):
+                                         "but this code runs 'prepare=split;kernel=wht' at m=9"):
         config_from_dict(d, graph)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import loop_reference
 from dense_reference import dense_expectation, dense_prepare
+from pce_mincut import quantum
 from pce_mincut.encoding import EncodingSpec, capacity, enumerate_strings
 from pce_mincut.quantum import (
     _WHT_MIN_QUBITS,
@@ -50,8 +51,8 @@ def test_prepare_state_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/split switch at 6/7
+@pytest.mark.parametrize("layers", [1, 2, 3])
 def test_prepare_matches_dense_oracle(m, layers):
     rng = np.random.default_rng(100 * m + layers)
     for _ in range(5):
@@ -61,7 +62,7 @@ def test_prepare_matches_dense_oracle(m, layers):
         assert np.max(np.abs(fast - dense)) < 1e-12
 
 
-@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/sweep switch at 6/7
+@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/split switch at 6/7
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_prepare_matches_loop_reference_bit_for_bit(m, layers):
     rng = np.random.default_rng(1000 * m + layers)
@@ -73,7 +74,7 @@ def test_prepare_matches_loop_reference_bit_for_bit(m, layers):
         assert got.tobytes() == loop_reference.prepare_state(m, theta, layers).tobytes()
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8, 9, 10])
 def test_norm_preserved(m):
     rng = np.random.default_rng(m)
     for _ in range(20):
@@ -159,8 +160,8 @@ def test_pauli_bound_and_hermiticity(m):
 
 def test_numerics_names_each_path():
     assert numerics(6) == "prepare=kron;kernel=perm"
-    assert numerics(7) == "prepare=sweep;kernel=perm"
-    assert numerics(8) == "prepare=sweep;kernel=wht"
+    assert numerics(7) == "prepare=split;kernel=perm"
+    assert numerics(8) == "prepare=split;kernel=wht"
 
 
 def _encodings(m):
@@ -218,7 +219,7 @@ def test_kernel_refuses_mixed_letter_strings(m):
         ExpectationKernel(["XZ" + "I" * (m - 2)])
 
 
-# kron path up to m=6, sweep from m=7, WHT kernel from m=8
+# kron path up to m=6, split from m=7, WHT kernel from m=8
 @pytest.mark.parametrize("m", range(1, 10))
 def test_stacked_calls_give_each_row_the_bytes_of_a_1d_call(m):
     rng = np.random.default_rng(m + 47)
@@ -235,6 +236,19 @@ def test_stacked_calls_give_each_row_the_bytes_of_a_1d_call(m):
                 psi = prepare_state(m, theta, layers)
                 assert state.tobytes() == psi.tobytes()
                 assert row.tobytes() == ExpectationKernel(strings)(psi).tobytes()
+
+
+@pytest.mark.parametrize("m", range(7, 11))
+def test_split_path_prepares_a_stack_in_one_pass(m, monkeypatch):
+    rng = np.random.default_rng(m + 53)
+    thetas = rng.uniform(-np.pi, np.pi, (40, parameter_count(m, 2)))
+    want = [prepare_state(m, theta, 2).tobytes() for theta in thetas]
+    calls = []
+    monkeypatch.setattr(quantum, "prepare_state",
+                        lambda *args: calls.append(args) or prepare_state(*args))
+    states = quantum.prepare_state(m, thetas, 2)
+    assert len(calls) == 1  # no row went through a call of its own
+    assert [state.tobytes() for state in states] == want
 
 
 def test_kernel_buffers_survive_a_stack_that_shrinks_and_grows():
