@@ -59,8 +59,8 @@ class ObjectiveSpec:
         n = self.graph.n
         if not (1 <= self.c <= n // 2):
             raise ValueError(f"c must be in [1, n/2] = [1, {n // 2}], got {self.c}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.eta < 0:
             raise ValueError(f"eta must be non-negative, got {self.eta}")
         if self.encoding.n_vars != n:

@@ -26,6 +26,7 @@ numerics(m) names the paths a register of m qubits runs.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -140,10 +141,8 @@ def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
     for c in range(n_cols):
         if split:
             psi = (hi[..., c, :, :] @ psi.reshape(view) @ lo_t[..., c, :, :]).reshape(psi.shape)
-        elif batch:
-            psi = np.matmul(unitaries[:, c], psi[:, :, None])[:, :, 0]
         else:
-            psi = unitaries[c] @ psi
+            psi = (unitaries[..., c, :, :] @ psi[..., None])[..., 0]
         if c < n_cols - 1 and m > 1:
             psi = psi * _cz_mask(m, c % 2)
     return psi
@@ -250,9 +249,9 @@ def _hadamard_factors(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wht(rows: np.ndarray, m: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of each row of a (r, 2^m) array."""
+    """Unnormalized Walsh-Hadamard transform of each row of a (..., 2^m) array."""
     h_a, h_b = _hadamard_factors(m)
-    blocks = rows.reshape(rows.shape[0], h_a.shape[0], h_b.shape[0])
+    blocks = rows.reshape(rows.shape[:-1] + (h_a.shape[0], h_b.shape[0]))
     return (h_a @ blocks @ h_b).reshape(rows.shape)
 
 
@@ -319,30 +318,23 @@ class ExpectationKernel:
         """
         if state.ndim not in (1, 2) or state.shape[-1] != 2**self.m:
             raise ValueError(f"state shape {state.shape}, kernel expects (..., {2**self.m})")
-        if state.ndim == 2:
-            if self.m >= _WHT_MIN_QUBITS:  # the transforms run row by row
-                return np.stack([self(row) for row in state])
-            rows = state.shape[0]
-            gathered = self._buffer(rows)
-            np.take(state, self._perm, axis=1, out=gathered, mode="wrap")
-            np.multiply(self._phase, gathered, out=gathered)
-            return np.matmul(gathered, np.conj(state)[:, :, None])[:, :, 0].real
+        batch = state.shape[:-1]
         if self.m < _WHT_MIN_QUBITS:
-            gathered = self._buffer(1)[0]
-            np.take(state, self._perm, out=gathered, mode="wrap")
+            gathered = self._buffer(batch)
+            np.take(state, self._perm, axis=-1, out=gathered, mode="wrap")
             np.multiply(self._phase, gathered, out=gathered)
-            return (gathered @ np.conj(state)).real
-        amps = np.empty((3, state.shape[0]), dtype=complex)
-        amps[0] = state
-        np.multiply(state, _y_basis_phase(self.m), out=amps[1])
-        amps[:2] = _wht(amps[:2], self.m)
-        amps[2] = state
+            return (gathered @ np.conj(state)[..., None])[..., 0].real
+        amps = np.empty(batch + (3, 2**self.m), dtype=complex)
+        amps[..., 0, :] = state
+        np.multiply(state, _y_basis_phase(self.m), out=amps[..., 1, :])
+        amps[..., :2, :] = _wht(amps[..., :2, :], self.m)
+        amps[..., 2, :] = state
         probs = np.square(amps.real) + np.square(amps.imag)
-        probs[:2] *= 1.0 / state.shape[0]  # a power of two: exact
-        return _wht(probs, self.m).reshape(-1)[self._entry]
+        probs[..., :2, :] *= 1.0 / 2**self.m  # a power of two: exact
+        return _wht(probs, self.m).reshape(batch + (-1,))[..., self._entry]
 
-    def _buffer(self, rows: int) -> np.ndarray:
-        """The (rows, S, 2^m) gather buffer, grown to fit and kept between calls.
+    def _buffer(self, batch: tuple) -> np.ndarray:
+        """The batch + (S, 2^m) gather buffer, grown to fit and kept between calls.
 
         Reusing it keeps each call free of large temporaries, whose cost
         depends on whether the allocator hands them back to the OS; the
@@ -353,6 +345,7 @@ class ExpectationKernel:
         batch-innermost one that state[:, perm] returns, sums in another
         order and rounds differently.
         """
+        rows = math.prod(batch)
         if self._gathered.shape[0] < rows:
             self._gathered = np.empty((rows,) + self._phase.shape, dtype=complex)
-        return self._gathered[:rows]
+        return self._gathered[:rows].reshape(batch + self._phase.shape)

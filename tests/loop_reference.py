@@ -1,12 +1,13 @@
 """Loop versions of the vectorized hot paths, kept as bit-exact references.
 
 `prepare_state` builds each rotation column's matrices and unitary one column
-at a time, and `minimize` keeps the Nelder-Mead simplex as a Python list of
-vertex arrays sorted with `sorted`. Both do the same arithmetic, element by
-element and in the same order, as the vectorized code in the package, so
-the tests require equal bytes, not a tolerance. `minimize` can also record
-which Nelder-Mead step each iteration took, so tests can show that their
-objectives reach every branch.
+at a time, `expectations` runs the expectation kernel's perm or WHT body on
+one 1-D state, and `minimize` keeps the Nelder-Mead simplex as a Python list
+of vertex arrays sorted with `sorted`. All three do the same arithmetic,
+element by element and in the same order, as the vectorized code in the
+package, so the tests require equal bytes, not a tolerance. `minimize` can
+also record which Nelder-Mead step each iteration took, so tests can show
+that their objectives reach every branch.
 """
 
 import math
@@ -21,7 +22,16 @@ from pce_mincut.optimize import (
     OptimizeResult,
     OptimizerConfig,
 )
-from pce_mincut.quantum import _KRON_COLUMN_MAX_QUBITS, _cz_mask, parameter_count
+from pce_mincut.quantum import (
+    _KRON_COLUMN_MAX_QUBITS,
+    _WHT_MIN_QUBITS,
+    _cz_mask,
+    _hadamard_factors,
+    _letter_and_support,
+    _pauli_action,
+    _y_basis_phase,
+    parameter_count,
+)
 
 
 def column_mats(ry, rz):
@@ -64,6 +74,36 @@ def prepare_state(m, theta, layers=1):
         if c < n_cols - 1 and m > 1:
             psi = psi * _cz_mask(m, c % 2)
     return psi
+
+
+def wht(rows, m):
+    # the transform of each row of a (r, 2^m) array
+    h_a, h_b = _hadamard_factors(m)
+    blocks = rows.reshape(rows.shape[0], h_a.shape[0], h_b.shape[0])
+    return (h_a @ blocks @ h_b).reshape(rows.shape)
+
+
+def expectations(state, letters):
+    """Expectation of each same-letter string on the 1-D state, one body per path."""
+    m = len(letters[0])
+    if m < _WHT_MIN_QUBITS:
+        actions = [_pauli_action(s) for s in letters]
+        perm = np.stack([a[0] for a in actions])
+        phase = np.stack([a[1] for a in actions])
+        gathered = np.empty(phase.shape, dtype=complex)
+        np.take(state, perm, out=gathered, mode="wrap")
+        np.multiply(phase, gathered, out=gathered)
+        return (gathered @ np.conj(state)).real
+    entry = np.array(["XYZ".index(letter) * 2**m + mask
+                      for letter, mask in map(_letter_and_support, letters)])
+    amps = np.empty((3, state.shape[0]), dtype=complex)
+    amps[0] = state
+    np.multiply(state, _y_basis_phase(m), out=amps[1])
+    amps[:2] = wht(amps[:2], m)
+    amps[2] = state
+    probs = np.square(amps.real) + np.square(amps.imag)
+    probs[:2] *= 1.0 / state.shape[0]  # a power of two: exact
+    return wht(probs, m).reshape(-1)[entry]
 
 
 class _BudgetExhausted(Exception):

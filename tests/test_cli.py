@@ -149,6 +149,16 @@ def test_bench_refuses_a_plan_without_solvers(tmp_path):
         _plan_from_args(args)
 
 
+def test_solve_exits_in_one_line_on_an_alpha_cap_below_alpha0(tmp_path):
+    graph = tmp_path / "g.json"
+    run_cli("generate", "--n", 6, "--out", graph)
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("solve", "--graph", graph, "--c", 2, "--alpha-cap", 0)
+    message = str(exc_info.value)
+    assert message.startswith("solve: alpha_cap must be")
+    assert "\n" not in message
+
+
 def test_bench_exits_in_one_line_on_a_flag_out_of_range():
     with pytest.raises(SystemExit) as exc_info:
         run_cli("bench", "--n", 4, "--reps", 0)

@@ -131,8 +131,9 @@ def test_objective_spec_validation(k6):
     enc = EncodingSpec("full_xyz", m=3, n_vars=6, k=2)
     with pytest.raises(ValueError):
         ObjectiveSpec(graph=k6, encoding=enc, alpha=1.0, c=4)  # c > n/2
-    with pytest.raises(ValueError):
-        ObjectiveSpec(graph=k6, encoding=enc, alpha=0.0, c=2)
+    for alpha in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^alpha must be"):
+            ObjectiveSpec(graph=k6, encoding=enc, alpha=alpha, c=2)
     with pytest.raises(ValueError):
         ObjectiveSpec(graph=k6, encoding=enc, alpha=1.0, c=2, eta=-1.0)
     wrong = EncodingSpec("full_xyz", m=3, n_vars=5, k=2)

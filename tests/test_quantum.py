@@ -238,6 +238,39 @@ def test_stacked_calls_give_each_row_the_bytes_of_a_1d_call(m):
                 assert row.tobytes() == ExpectationKernel(strings)(psi).tobytes()
 
 
+# perm kernel up to m=7, WHT from m=8
+@pytest.mark.parametrize("m", range(1, 11))
+def test_kernel_matches_the_1d_reference_bit_for_bit(m):
+    rng = np.random.default_rng(m + 59)
+    k = 1 if m < 4 else 2
+    strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, k), k=k))
+    letters = [s.letters for s in strings]
+    kernel = ExpectationKernel(strings)
+    for layers in (1, 2):
+        dim = parameter_count(m, layers)
+        psi = prepare_state(m, rng.uniform(-np.pi, np.pi, dim), layers)
+        assert kernel(psi).tobytes() == loop_reference.expectations(psi, letters).tobytes()
+        for rows in (1, 7, 40):
+            states = prepare_state(m, rng.uniform(-np.pi, np.pi, (rows, dim)), layers)
+            values = kernel(states)
+            assert values.shape == (rows, len(strings))
+            for state, row in zip(states, values):
+                assert row.tobytes() == loop_reference.expectations(state, letters).tobytes()
+
+
+@pytest.mark.parametrize("m", [T, T + 1])
+def test_wht_kernel_transforms_a_stack_in_one_pass(m, monkeypatch):
+    rng = np.random.default_rng(m + 61)
+    strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2))
+    kernel = ExpectationKernel(strings)
+    wht, calls = quantum._wht, []
+    monkeypatch.setattr(quantum, "_wht", lambda rows, m: calls.append(rows.shape) or wht(rows, m))
+    for shape in ((), (1,), (12,)):
+        calls.clear()
+        kernel(prepare_state(m, rng.uniform(-np.pi, np.pi, shape + (parameter_count(m),))))
+        assert len(calls) == 2  # the X and Y amplitudes, then the three probability rows
+
+
 @pytest.mark.parametrize("m", range(7, 11))
 def test_split_path_prepares_a_stack_in_one_pass(m, monkeypatch):
     rng = np.random.default_rng(m + 53)

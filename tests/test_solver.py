@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,15 +127,15 @@ def test_history_minus_counts_and_evals(k6):
 
 def test_warm_start_chains_theta(k6, monkeypatch):
     starts, finals = [], []
-    real_minimize = solver_mod.minimize
+    real = solver_mod.nelder_mead
 
-    def recording_minimize(fn, x0, cfg):
+    def recording_nelder_mead(x0, max_evals):
         starts.append(np.array(x0))
-        res = real_minimize(fn, x0, cfg)
+        res = yield from real(x0, max_evals)
         finals.append(np.array(res.best_params))
         return res
 
-    monkeypatch.setattr(solver_mod, "minimize", recording_minimize)
+    monkeypatch.setattr(solver_mod, "nelder_mead", recording_nelder_mead)
     out = solve(default_config(k6, 2, seed=7, optimizer=FAST))
     assert len(starts) == out.outer_iters
     for t in range(1, len(starts)):
@@ -216,6 +217,28 @@ def test_config_validation(k6):
     # the schedule starts at alpha0; an alpha it never runs must not be recorded
     with pytest.raises(ValueError, match="alpha0"):
         default_config(k6, 2, alpha_mode="iterative", alpha=50.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"alpha0": math.nan}, "alpha0"),
+    ({"alpha0": math.inf}, "alpha0"),
+    ({"alpha_cap": 0.0}, "alpha_cap"),
+    ({"alpha_cap": 1.0}, "alpha_cap"),  # below alpha0: the schedule would run backwards
+    ({"alpha_cap": math.nan}, "alpha_cap"),
+    ({"alpha_cap": math.inf}, "alpha_cap"),
+])
+def test_degenerate_schedule_inputs_are_refused(k6, kwargs, field):
+    cfg = default_config(k6, 2)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        replace(cfg, **kwargs)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        PceConfig(objective=cfg.objective, alpha_mode="iterative", **kwargs)
+
+
+def test_alpha_cap_only_bounds_iterative_runs(k6):
+    cfg = default_config(k6, 2, alpha_mode="fixed", alpha=10.0, alpha_cap=1.0)
+    assert cfg.alpha_cap == 1.0
+    assert default_config(k6, 2, alpha_cap=3.0).alpha_cap == cfg.alpha0 == 3.0
 
 
 def test_fixed_run_is_the_first_step_of_the_schedule(k6):
