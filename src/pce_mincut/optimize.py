@@ -9,12 +9,14 @@ that a record written under other values is refused, not replayed.
 Everything here is deterministic: identical (objective, x0, config) inputs
 replay the exact same evaluation sequence. nelder_mead is the method as a
 generator that asks for one value at a time, so a caller can serve many
-runs' requests together; minimize drives it with a Python objective.
+runs' requests together (solver.run_lockstep scores them with one stacked
+loss call per step); minimize drives it with a Python objective.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +75,22 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _sort(simplex: np.ndarray, fvals: list[float]):
+    """The simplex and its values in the order a stable sort by value gives."""
+    order = sorted(range(len(fvals)), key=fvals.__getitem__)
+    return simplex[order], [fvals[i] for i in order]
+
+
 def nelder_mead(x0, max_evals: int):
     """Nelder-Mead from the start point x0, as a generator of evaluation requests.
 
     Yields each point whose value it needs and is sent that value; returns
     the OptimizeResult once the simplex converges or max_evals values have
     been received. A non-finite value raises EvaluationError.
+
+    The simplex is kept sorted by value. A vertex that replaces the worst is
+    inserted after its equals, where a stable sort of the whole simplex puts
+    it; only a shrink, which moves every vertex but the best, sorts again.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
@@ -115,14 +127,10 @@ def nelder_mead(x0, max_evals: int):
         fvals = []
         for v in vertices:
             fvals.append((yield from f(v)))
-        fvals = np.array(fvals)
-        simplex = np.array(vertices)
+        # fvals is a list of Python floats, kept in step with the rows
+        simplex, fvals = _sort(np.array(vertices), fvals)
 
         while True:
-            order = np.argsort(fvals, kind="stable")  # the permutation a stable sort gives
-            simplex = simplex[order]
-            fvals = fvals[order]
-
             # the vertex spread is only worth computing once the values agree
             if (fvals[-1] - fvals[0] <= F_TOL
                     and np.max(np.abs(simplex[1:] - simplex[0])) <= X_TOL):
@@ -130,38 +138,40 @@ def nelder_mead(x0, max_evals: int):
                 break
 
             centroid = np.add.reduce(simplex[:-1]) / dim  # np.mean's sum and division
-            worst = simplex[-1]  # a view: compute every candidate before writing the row
+            worst = simplex[-1]  # a view: compute every candidate before moving rows
             reflected = centroid + (centroid - worst)
             fr = yield from f(reflected)
 
             if fvals[0] <= fr < fvals[-2]:
-                simplex[-1], fvals[-1] = reflected, fr
-                continue
-            if fr < fvals[0]:
+                new, fnew = reflected, fr
+            elif fr < fvals[0]:
                 expanded = centroid + 2.0 * (centroid - worst)
                 fe = yield from f(expanded)
-                if fe < fr:
-                    simplex[-1], fvals[-1] = expanded, fe
-                else:
-                    simplex[-1], fvals[-1] = reflected, fr
-                continue
-            # fr >= second worst: contract toward the better of worst/reflected
-            if fr < fvals[-1]:
-                contracted = centroid + 0.5 * (centroid - worst)
-                fc = yield from f(contracted)
-                if fc <= fr:
-                    simplex[-1], fvals[-1] = contracted, fc
-                    continue
+                new, fnew = (expanded, fe) if fe < fr else (reflected, fr)
             else:
-                contracted = centroid - 0.5 * (centroid - worst)
-                fc = yield from f(contracted)
-                if fc < fvals[-1]:
-                    simplex[-1], fvals[-1] = contracted, fc
+                # fr >= second worst: contract toward the better of worst/reflected
+                if fr < fvals[-1]:
+                    new = centroid + 0.5 * (centroid - worst)
+                    fnew = yield from f(new)
+                    accepted = fnew <= fr
+                else:
+                    new = centroid - 0.5 * (centroid - worst)
+                    fnew = yield from f(new)
+                    accepted = fnew < fvals[-1]
+                if not accepted:
+                    # shrink everything toward the best vertex, then sort again
+                    for i in range(1, dim + 1):
+                        shrunk = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                        simplex[i], fvals[i] = shrunk, (yield from f(shrunk))
+                    simplex, fvals = _sort(simplex, fvals)
                     continue
-            # shrink everything toward the best vertex
-            for i in range(1, dim + 1):
-                shrunk = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                simplex[i], fvals[i] = shrunk, (yield from f(shrunk))
+            # the new vertex replaces the worst and goes after its equals among
+            # the other dim, where a stable sort of the whole simplex puts it
+            k = bisect_right(fvals, fnew, 0, dim)
+            simplex[k + 1:] = simplex[k:-1]
+            simplex[k] = new
+            del fvals[-1]
+            fvals.insert(k, fnew)
     except _BudgetExhausted:
         converged = False
 

@@ -75,14 +75,15 @@ def _column_mats(angles: np.ndarray) -> np.ndarray:
     column; the result has shape (..., n_cols, m, 2, 2).
     """
     ry, rz = angles[..., 0, :], angles[..., 1, :]
-    c, s = np.cos(ry / 2.0), np.sin(ry / 2.0)
+    half = ry / 2.0
+    c, s = np.cos(half), np.sin(half)
     pm = np.exp(-0.5j * rz)
     pp = np.exp(0.5j * rz)
     mats = np.empty(ry.shape + (2, 2), dtype=complex)
-    mats[..., 0, 0] = pm * c
-    mats[..., 0, 1] = -pm * s
-    mats[..., 1, 0] = pp * s
-    mats[..., 1, 1] = pp * c
+    np.multiply(pm, c, out=mats[..., 0, 0])
+    np.multiply(-pm, s, out=mats[..., 0, 1])
+    np.multiply(pp, s, out=mats[..., 1, 0])
+    np.multiply(pp, c, out=mats[..., 1, 1])
     return mats
 
 

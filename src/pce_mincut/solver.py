@@ -17,11 +17,12 @@ ends when every soft value clears M, when the outer-iteration cap is hit,
 or one inner run after the proposed alpha overflows the alpha cap (at the
 cap tanh is bitwise saturated and further updates are inert).
 
-solve_steps is the loop, as a generator that asks for the expectation
-vector of each state it needs. solve drives one run of it alone;
-run_lockstep drives independent runs together, sharing each step's state
-preparation and expectation kernel, and gives bit for bit the outcomes
-solve gives.
+solve_steps is the loop, as a generator that asks for the loss of each
+state it evaluates and for the expectation vector of the state each inner
+run ends at. solve drives one run of it alone; run_lockstep drives
+independent runs together, sharing each step's state preparation,
+expectation kernel and loss call, and gives bit for bit the outcomes solve
+gives.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ ANSATZ_LAYOUT = "brickwork(ry+rz columns, cz bricks, qubit0=msb)"
 STALL_FACTOR = 1.0 + 1e-6
 
 
+def _check_alpha0(alpha0: float) -> None:
+    if not (math.isfinite(alpha0) and alpha0 > 0):
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+
+
 @dataclass(frozen=True)
 class PceConfig:
     objective: ObjectiveSpec
@@ -89,8 +95,7 @@ class PceConfig:
             raise ValueError(f"unknown update_rule {self.update_rule!r}")
         if not (0.0 < self.M < 1.0):
             raise ValueError(f"threshold M must be in (0, 1), got {self.M}")
-        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
+        _check_alpha0(self.alpha0)
         if self.alpha_mode == "iterative" and not (
                 math.isfinite(self.alpha_cap) and self.alpha_cap >= self.alpha0):
             raise ValueError(f"alpha_cap must be finite and at least alpha0={self.alpha0}, "
@@ -172,6 +177,7 @@ def default_config(
         M = 0.95 if n >= 150 else 0.90
     if alpha0 is None:
         alpha0 = 1.0 if n >= 150 else 3.0
+    _check_alpha0(alpha0)  # before a fixed run's alpha defaults to it
     if update_rule is None:
         update_rule = "arctanh_ratio" if n <= 25 else "large_scale"
     if alpha_mode == "iterative" and alpha is not None:
@@ -224,10 +230,12 @@ def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> flo
 def solve_steps(cfg: PceConfig):
     """The solve loop as a step generator; solve's docstring gives its semantics.
 
-    Yields (ansatz, theta) for every state of the run, each Nelder-Mead
-    evaluation included, with ansatz as run_lockstep describes it, and is
-    sent theta's expectation vector; the loss of each evaluation is
-    computed here, per run. Returns the SolveOutcome.
+    Yields (ansatz, theta, spec) for every state of the run, with ansatz as
+    run_lockstep describes it. For a Nelder-Mead evaluation spec is the
+    ObjectiveSpec at the current alpha, and the generator is sent the loss
+    of theta's expectation vector under it; at the end of each inner run
+    spec is None, and it is sent the expectation vector itself. Returns the
+    SolveOutcome.
     """
     enc = cfg.objective.encoding
     # what a state depends on besides its angles; the letters are joined into
@@ -247,12 +255,12 @@ def solve_steps(cfg: PceConfig):
         try:
             x = next(run)
             while True:
-                x = run.send(loss(spec, (yield ansatz, x)))
+                x = run.send((yield ansatz, x, spec))
         except StopIteration as stop:
             result = stop.value
         theta = result.best_params
         total_evals += result.evals
-        e = yield ansatz, theta
+        e = yield ansatz, theta, None
         soft = soft_values(np.clip(e, -1.0, 1.0), alpha)
         proposed = next_alpha(soft, alpha, cfg.M, cfg.update_rule) if iterative else alpha
         done = proposed == alpha
@@ -277,6 +285,12 @@ def solve_steps(cfg: PceConfig):
             alpha = proposed
 
     z = decode(e)
+    if alpha == spec.alpha:
+        # the last inner run scored theta at this alpha: its best value is
+        # this loss, bit for bit
+        loss_final = result.best_value
+    else:
+        loss_final = loss(replace(cfg.objective, alpha=alpha), e)
     return SolveOutcome(
         z=z,
         soft=soft_values(np.clip(e, -1.0, 1.0), alpha),
@@ -286,7 +300,7 @@ def solve_steps(cfg: PceConfig):
         outer_iters=len(history),
         inner_evals=total_evals,
         theta_final=theta,
-        loss_final=loss(replace(cfg.objective, alpha=alpha), e),
+        loss_final=loss_final,
         capped=capped,
         history=history if iterative else None,
     )
@@ -295,12 +309,15 @@ def solve_steps(cfg: PceConfig):
 def run_lockstep(jobs, spent: list[float] | None = None):
     """Drive step generators together until each one returns.
 
-    A job yields (ansatz, theta), with ansatz = (m, layers, the strings'
-    letters joined by spaces), and is sent theta's expectation vector. Each step serves every waiting
-    job with one prepare_state call and one kernel call per ansatz, as a
-    (B, d) stack, or as the 1-D calls when one job waits on it. Rows
-    are bit-equal to 1-D calls, so no job's results depend on which jobs
-    share its steps.
+    A job yields (ansatz, theta, spec), with ansatz = (m, layers, the
+    strings' letters joined by spaces), and is sent the loss of theta's
+    expectation vector under spec, or the vector itself when spec is None.
+    Each step serves every waiting job with one prepare_state call and one
+    kernel call per ansatz, as a (B, d) stack, and one loss call over the
+    rows that carry a spec, as a (B, n) stack, whose specs must share one
+    graph object, as the cells of a plan do; a job that waits alone on its
+    ansatz gets the 1-D calls. Rows are bit-equal to 1-D calls, so no job's
+    results depend on which jobs share its steps.
 
     Yields (index, value) as job `index` ends, where value is what it
     returned or the exception it raised; the other jobs go on. If spent is
@@ -333,8 +350,8 @@ def run_lockstep(jobs, spent: list[float] | None = None):
         ended.clear()
         start = time.perf_counter()
         groups: dict[tuple, list] = {}
-        for i, (ansatz, theta) in waiting.items():
-            groups.setdefault(ansatz, []).append((i, theta))
+        for i, (ansatz, theta, spec) in waiting.items():
+            groups.setdefault(ansatz, []).append((i, theta, spec))
         served = list(waiting)
         waiting.clear()
         for ansatz, rows in groups.items():
@@ -344,18 +361,28 @@ def run_lockstep(jobs, spent: list[float] | None = None):
                 if kernel is None:
                     kernel = kernels[ansatz] = ExpectationKernel(strings.split(), m)
                 if len(rows) == 1:
-                    # a 1-D call: per prepare_state + kernel call, a one-row
+                    # 1-D calls: per prepare_state + kernel call, a one-row
                     # stack costs 26.6-27.4 against 23.2-24.3 us at m=3 and
-                    # 99.4-101.6 against 92.3-96.6 us at m=9 (1 BLAS thread)
-                    es = [kernel(prepare_state(m, rows[0][1], layers))]
+                    # 99.4-101.6 against 92.3-96.6 us at m=9 (1 BLAS thread),
+                    # and a one-row loss stack about 7 us more than the 1-D
+                    # loss at n = 6, 105 and 300
+                    (_, theta, spec), = rows
+                    e = kernel(prepare_state(m, theta, layers))
+                    replies = [e if spec is None else loss(spec, e)]
                 else:
-                    es = kernel(prepare_state(m, np.array([th for _, th in rows]), layers))
+                    es = kernel(prepare_state(m, np.array([row[1] for row in rows]), layers))
+                    replies = list(es)
+                    scored = [b for b, row in enumerate(rows) if row[2] is not None]
+                    if scored:
+                        values = loss([rows[b][2] for b in scored], es[scored])
+                        for b, value in zip(scored, values):
+                            replies[b] = value
             except Exception as exc:  # every job of the group gets the error
-                for i, _ in rows:
+                for i, _, _ in rows:
                     advance(i, error=exc)
                 continue
-            for (i, _), e in zip(rows, es):
-                advance(i, e)
+            for (i, _, _), reply in zip(rows, replies):
+                advance(i, reply)
 
 
 def solve(cfg: PceConfig) -> SolveOutcome:
@@ -373,16 +400,17 @@ def solve(cfg: PceConfig) -> SolveOutcome:
     alpha the loop set. After max_outer_iters that is the alpha proposed
     after the last inner run, which no inner run has used.
 
-    Drives solve_steps(cfg) alone, serving each state it asks for with 1-D
-    prepare_state and kernel calls.
+    Drives solve_steps(cfg) alone, serving each request with 1-D
+    prepare_state, kernel and loss calls.
     """
     enc = cfg.objective.encoding
     kernel = ExpectationKernel(enumerate_strings(enc), enc.m)
     run = solve_steps(cfg)
     try:
-        _, theta = next(run)
+        _, theta, spec = next(run)
         while True:
-            _, theta = run.send(kernel(prepare_state(enc.m, theta, cfg.layers)))
+            e = kernel(prepare_state(enc.m, theta, cfg.layers))
+            _, theta, spec = run.send(e if spec is None else loss(spec, e))
     except StopIteration as stop:
         return stop.value
 

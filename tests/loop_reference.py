@@ -2,18 +2,22 @@
 
 `prepare_state` builds each rotation column's matrices and unitary one column
 at a time, `expectations` runs the expectation kernel's perm or WHT body on
-one 1-D state, and `minimize` keeps the Nelder-Mead simplex as a Python list
-of vertex arrays sorted with `sorted`. All three do the same arithmetic,
+one 1-D state, `loss` scores one 1-D expectation vector with the budget
+penalty squared as a float64 scalar, and `minimize` keeps the Nelder-Mead
+simplex as a Python list of vertex arrays sorted with `sorted` on every
+iteration. All four do the same arithmetic,
 element by element and in the same order, as the vectorized code in the
 package, so the tests require equal bytes, not a tolerance. `minimize` can
-also record which Nelder-Mead step each iteration took, so tests can show
-that their objectives reach every branch.
+also record which Nelder-Mead step each iteration took and which new vertices
+tied with another, so tests can show that their objectives reach every branch
+and every ordering case.
 """
 
 import math
 
 import numpy as np
 
+from pce_mincut.objective import regularization
 from pce_mincut.optimize import (
     F_TOL,
     INITIAL_STEP,
@@ -106,18 +110,34 @@ def expectations(state, letters):
     return wht(probs, m).reshape(-1)[entry]
 
 
+def loss(spec, expectations):
+    e = np.asarray(expectations, dtype=float)
+    n = spec.graph.n
+    if e.shape != (n,):
+        raise ValueError(f"expected {n} expectation values, got shape {e.shape}")
+    t = np.tanh(spec.alpha * e)
+    w = spec.graph.weights
+    value = 0.25 * (spec.graph.weight_sum - t @ w @ t)
+    value += spec.beta * (t.sum() - (n - 2 * spec.c)) ** 2
+    if spec.eta > 0:
+        value += regularization(t, spec.eta, n)
+    return float(value)
+
+
 class _BudgetExhausted(Exception):
     pass
 
 
-def minimize(objective, x0, cfg=None, steps=None):
-    """List-based Nelder-Mead; appends each iteration's step name to `steps`."""
+def minimize(objective, x0, cfg=None, steps=None, ties=None):
+    """List-based Nelder-Mead; appends each iteration's step name to `steps`,
+    and to `ties` the value of each new vertex that equals another vertex's."""
     if cfg is None:
         cfg = OptimizerConfig()
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
     max_evals = cfg.budget(dim)
     record = steps.append if steps is not None else (lambda name: None)
+    tie = ties.append if ties is not None else (lambda value: None)
 
     evals = 0
     best_x = x0.copy()
@@ -145,7 +165,11 @@ def minimize(objective, x0, cfg=None, steps=None):
             simplex.append(v)
         fvals = [f(v) for v in simplex]
 
+        replaced = False  # the last iteration put one new vertex in the worst's place
         while True:
+            if replaced and fvals[-1] in fvals[:-1]:
+                tie(fvals[-1])
+            replaced = True
             order = sorted(range(dim + 1), key=fvals.__getitem__)
             simplex = [simplex[i] for i in order]
             fvals = [fvals[i] for i in order]
@@ -188,6 +212,7 @@ def minimize(objective, x0, cfg=None, steps=None):
                     simplex[-1], fvals[-1] = contracted, fc
                     continue
             record("shrink")
+            replaced = False
             for i in range(1, dim + 1):
                 simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                 fvals[i] = f(simplex[i])

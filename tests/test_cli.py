@@ -159,6 +159,18 @@ def test_solve_exits_in_one_line_on_an_alpha_cap_below_alpha0(tmp_path):
     assert "\n" not in message
 
 
+def test_solve_exits_in_one_line_on_a_non_finite_alpha0(tmp_path):
+    graph = tmp_path / "g.json"
+    run_cli("generate", "--n", 6, "--out", graph)
+    for mode in ("iterative", "fixed"):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("solve", "--graph", graph, "--c", 2, "--alpha-mode", mode,
+                    "--alpha0", "nan")
+        message = str(exc_info.value)
+        assert message.startswith("solve: alpha0 must be")
+        assert "\n" not in message
+
+
 def test_bench_exits_in_one_line_on_a_flag_out_of_range():
     with pytest.raises(SystemExit) as exc_info:
         run_cli("bench", "--n", 4, "--reps", 0)

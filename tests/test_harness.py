@@ -470,7 +470,10 @@ def test_a_failing_run_gives_its_error_record_in_place(
     real_loss = solver_mod.loss
 
     def loss(spec, e):
-        return math.nan if np.array_equal(e, e0) else real_loss(spec, e)
+        values = real_loss(spec, e)
+        if np.ndim(e) == 1:  # a job that waits alone on its ansatz
+            return math.nan if np.array_equal(e, e0) else values
+        return [math.nan if np.array_equal(row, e0) else v for row, v in zip(e, values)]
 
     monkeypatch.setattr(solver_mod, "loss", loss)
     records, report = run_plan(small_plan(**LOCKSTEP_KW))

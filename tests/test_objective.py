@@ -1,13 +1,15 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import loop_reference
 from conftest import random_graphs
-from pce_mincut.encoding import EncodingSpec
+from pce_mincut.encoding import EncodingSpec, minimal_qubits
 from pce_mincut.graph import cut_size, generate_complete_graph
 from pce_mincut.objective import (
     ObjectiveSpec,
@@ -180,3 +182,47 @@ def test_loss_monotone_in_beta(k6):
     e = np.array([0.1, -0.3, 0.2, 0.5, -0.2, 0.05])
     values = [loss(spec_for(k6, 2, alpha=2.0, beta=b), e) for b in (0.0, 1.0, 10.0, 100.0)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _stack(n, rows, rng):
+    """Specs on one random graph, with per-row alpha in [0.1, 10] or up to
+    1e16, c in {1, n//2} and some rows with eta > 0, and a (rows, n) stack of
+    expectations that holds exact -1, 0 and 1 entries."""
+    g = generate_complete_graph(n, weights="uniform", seed=int(rng.integers(2**31)),
+                                low=0.1, high=2.0)
+    enc = EncodingSpec("full_xyz", m=minimal_qubits("full_xyz", 2, n), n_vars=n, k=2)
+    specs = [ObjectiveSpec(graph=g, encoding=enc, alpha=float(10 ** rng.uniform(-1, 16 if b % 2 else 1)),
+                           c=int(rng.choice([1, n // 2])),
+                           beta=None if b % 3 else float(rng.uniform(0, 50)),
+                           eta=float(rng.uniform(0.1, 5)) if b % 4 == 1 else 0.0)
+             for b in range(rows)]
+    e = rng.uniform(-1, 1, (rows, n))
+    e[:, ::4] = np.round(e[:, ::4])
+    return specs, e
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 40])
+@pytest.mark.parametrize("n", [3, 6, 14, 105, 300])
+def test_stacked_loss_matches_the_1d_reference_bit_for_bit(n, rows):
+    rng = np.random.default_rng(n * 100 + rows)
+    for _ in range(30):
+        specs, e = _stack(n, rows, rng)
+        want = [loop_reference.loss(s, row).hex() for s, row in zip(specs, e)]
+        assert [v.hex() for v in loss(specs, e)] == want
+        assert [loss(s, row).hex() for s, row in zip(specs, e)] == want
+
+
+def test_stacked_loss_refuses_a_wrong_shape_and_two_graphs():
+    specs, e = _stack(6, 3, np.random.default_rng(0))
+    for bad in (e[:2], e[:, :5], e[None], e[0]):
+        with pytest.raises(ValueError, match=r"^expected a \(3, 6\) stack"):
+            loss(specs, bad)
+    with pytest.raises(ValueError, match="^expected 6 expectation values"):
+        loss(specs[0], e)
+    with pytest.raises(ValueError, match="^a stack needs one spec per row"):
+        loss([], e)
+    # an equal graph is still another object
+    twin = replace(specs[1], graph=replace(specs[1].graph))
+    assert twin.graph == specs[1].graph
+    with pytest.raises(ValueError, match="^a stack's specs must share one graph object"):
+        loss([specs[0], twin, specs[2]], e)

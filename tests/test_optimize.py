@@ -161,6 +161,11 @@ def pseudo_random(x):
     return float(np.sin(1e3 * np.sum(x * np.arange(1, x.size + 1))))
 
 
+def quantized_quadratic(x):
+    # values on a grid of 1/4: new vertices often tie with old ones
+    return math.floor(4.0 * float(np.sum((x - 0.3) ** 2))) / 4.0
+
+
 LOOP_CASES = {
     "quadratic": (quadratic, np.array([5.0]), None),
     "rosenbrock": (rosenbrock, np.array([-1.2, 1.0]), 5000),
@@ -170,6 +175,7 @@ LOOP_CASES = {
     "constant-budget-mid-shrink": (lambda x: 2.5, np.zeros(3), 7),
     "abs-sum": (lambda x: float(np.sum(np.abs(x - 0.3))), np.array([1.0, -2.0, 0.5]), None),
     "pseudo-random": (pseudo_random, np.array([0.1, 0.2]), 300),
+    "quantized-quadratic": (quantized_quadratic, np.array([3.0, -2.0, 1.0, 0.5]), 400),
     "pce-k6": (*pce_loss_k6(), 3000),
 }
 
@@ -196,6 +202,16 @@ def test_loop_cases_reach_every_step_and_stop():
         stops.add("converged" if res.converged else "budget")
     assert steps == {"reflect", "expand", "contract_outside", "contract_inside", "shrink"}
     assert stops == {"converged", "budget"}
+
+
+def test_quantized_case_ties_new_vertices_and_shrinks():
+    # the bit-for-bit case above then shows that each tied vertex goes after
+    # its equals, where the reference's stable sort puts it
+    objective, x0, max_evals = LOOP_CASES["quantized-quadratic"]
+    steps, ties = [], []
+    loop_reference.minimize(objective, x0, OptimizerConfig(max_evals=max_evals), steps, ties)
+    assert len(ties) >= 5
+    assert "shrink" in steps
 
 
 def test_minimize_matches_loop_reference_on_a_non_finite_value():

@@ -230,6 +230,8 @@ def test_config_validation(k6):
 def test_degenerate_schedule_inputs_are_refused(k6, kwargs, field):
     cfg = default_config(k6, 2)
     with pytest.raises(ValueError, match=f"^{field} must be"):
+        default_config(k6, 2, **kwargs)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
         replace(cfg, **kwargs)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         PceConfig(objective=cfg.objective, alpha_mode="iterative", **kwargs)
