@@ -7,7 +7,7 @@ quadratic penalty enforces the budget; the iterative-alpha schedule sharpens
 the relaxation step by step until every variable binarizes.
 """
 
-from .encoding import EncodingSpec, PauliString, capacity, enumerate_strings, minimal_qubits
+from .encoding import EncodingSpec, capacity, enumerate_strings, minimal_qubits
 from .graph import WeightedGraph, cut_size, generate_complete_graph, partition_count, read_graph, write_graph
 from .harness import ExperimentPlan, GraphSource, SolverSpec, metric_epsilon_c, run_plan
 from .objective import ObjectiveSpec, beta_c, binarization, decode, is_feasible, loss, plateau_width, soft_values

@@ -12,7 +12,8 @@ the flags of the same name; a key that names no flag of the subcommand, or
 a value that is not the JSON type of its flag, is an error. `bench` also
 takes the config-only key `solvers`, a list of SolverSpec keyword objects
 that replaces --solver/--alphas/--paired, so a campaign such as an eta
-sweep is one plan file (see plans/).
+sweep is one plan file (see plans/). Their values follow the same rule;
+the optimizer budget comes from --max-evals.
 """
 
 from __future__ import annotations
@@ -84,15 +85,31 @@ def _subcommand_flags(command: str) -> dict[str, argparse.Action]:
     return {a.dest: a for a in sub.choices[command]._actions}
 
 
-def _check_solvers(path, entries) -> None:
+# the value rules of the SolverSpec fields that no bench flag shares
+_SOLVER_ONLY_FLAGS = {a.dest: a for a in (
+    argparse.Action([], "label", default="iterative"),
+    argparse.Action([], "mode", choices=["fixed", "iterative"], default="iterative"),
+    argparse.Action([], "alpha", type=float),
+    argparse.Action([], "paired_control", nargs=0, default=False),
+)}
+
+
+def _check_solvers(path, entries, flags: dict[str, argparse.Action]) -> None:
+    """Refuse a key that is no SolverSpec field, or a value its flag would refuse."""
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SystemExit(f"{path}: 'solvers' must be a list of objects, got {entries!r}")
-    fields = {f.name for f in dataclasses.fields(SolverSpec)}
+    # optimizer has no JSON form
+    fields = {f.name for f in dataclasses.fields(SolverSpec)} - {"optimizer"}
+    flags = {**flags, **_SOLVER_ONLY_FLAGS}
     for i, entry in enumerate(entries):
-        for key in entry:
+        for key, value in entry.items():
             if key not in fields:
-                raise SystemExit(f"{path}: solvers[{i}] has key {key!r}, which is no "
-                                 f"solver setting (one of {sorted(fields)})")
+                raise SystemExit(f"{path}: solvers[{i}] has key {key!r}, which is no solver "
+                                 f"setting (one of {sorted(fields)}; the evaluation budget "
+                                 "is --max-evals)")
+            if (want := _config_mismatch(flags[key], value)) is not None:
+                raise SystemExit(f"{path}: solvers[{i}] key {key!r} must be {want}, "
+                                 f"got {value!r}")
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -113,7 +130,7 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             if name not in known:
                 raise SystemExit(f"{args.config}: {key!r} is not a setting of {args.command}")
             if name == "solvers":
-                _check_solvers(args.config, value)
+                _check_solvers(args.config, value, flags)
             elif (want := _config_mismatch(flags[name], value)) is not None:
                 raise SystemExit(f"{args.config}: {key!r} must be {want}, got {value!r}")
             setattr(args, name, value)

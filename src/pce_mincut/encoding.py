@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "CapacityError",
-    "PauliString",
     "EncodingSpec",
     "capacity",
     "minimal_qubits",
@@ -37,42 +36,6 @@ PAULI_LETTERS = "XYZ"
 
 class CapacityError(ValueError):
     """An encoding cannot hold the requested number of variables."""
-
-
-@dataclass(frozen=True)
-class PauliString:
-    letters: str
-    variable_index: int = -1
-
-    def __post_init__(self) -> None:
-        if any(ch not in "IXYZ" for ch in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-        kinds = {ch for ch in self.letters if ch != "I"}
-        if len(kinds) == 0:
-            raise ValueError("a Pauli string needs at least one non-identity letter")
-        if len(kinds) > 1:
-            raise ValueError(
-                f"{self.letters!r} mixes Pauli types; strings must use a single type"
-            )
-
-    @property
-    def m(self) -> int:
-        return len(self.letters)
-
-    @property
-    def order_k(self) -> int:
-        return sum(ch != "I" for ch in self.letters)
-
-    @property
-    def pauli(self) -> str:
-        """The one non-identity letter of this string."""
-        for ch in self.letters:
-            if ch != "I":
-                return ch
-        raise AssertionError("unreachable: validated in __post_init__")
-
-    def __str__(self) -> str:
-        return self.letters
 
 
 @dataclass(frozen=True)
@@ -172,8 +135,8 @@ def _string_at(m: int, positions, letter: str) -> str:
     return "".join(chars)
 
 
-def enumerate_strings(spec: EncodingSpec) -> list[PauliString]:
-    """The first n_vars strings of the family's deterministic enumeration."""
+def enumerate_strings(spec: EncodingSpec) -> list[str]:
+    """The first n_vars strings of the family's deterministic enumeration, as letters."""
     letters: list[str] = []
     if spec.family == "full_xyz":
         for positions in _position_subsets(spec.m, spec.k):
@@ -187,5 +150,5 @@ def enumerate_strings(spec: EncodingSpec) -> list[PauliString]:
         for kk in range(lo, hi + 1):
             for positions in _position_subsets(spec.m, kk):
                 letters.append(_string_at(spec.m, positions, spec.pauli))
-    return [PauliString(s, variable_index=i) for i, s in enumerate(letters[: spec.n_vars])]
+    return letters[: spec.n_vars]
 

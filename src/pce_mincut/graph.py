@@ -183,6 +183,9 @@ def write_graph(g: WeightedGraph, path, fmt: str | None = None) -> None:
     if fmt == "json":
         path.write_text(json.dumps({"n": g.n, "edges": edges}) + "\n")
     elif fmt == "edgelist":
+        # the reader takes n from the largest index: list (0, n-1) even at weight 0
+        if g.weights[0, g.n - 1] == 0.0:
+            edges.append((0, g.n - 1, 0.0))
         lines = [f"{i} {j} {w!r}" for i, j, w in edges]
         path.write_text("\n".join(lines) + "\n")
     else:

@@ -31,19 +31,16 @@ __all__ = [
 
 EXHAUSTIVE_MAX_NODES = 22
 _CHUNK = 100_000
+SA_COOLING = 0.995  # temperature factor per annealing step
 
 
 @dataclass(frozen=True)
 class SaConfig:
-    initial_temp: float | None = None  # None -> max edge weight * n
-    cooling: float = 0.995
     steps: int = 20_000  # per restart
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.cooling < 1.0):
-            raise ValueError("cooling factor must be in (0, 1)")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.restarts < 1:
@@ -101,7 +98,8 @@ def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
 def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResult:
     """Simulated annealing over size-c subsets; best over restarts.
 
-    Metropolis acceptance exp(-delta/T) with geometric cooling per step.
+    Metropolis acceptance exp(-delta/T), with T starting at the largest
+    edge weight times n and cooled by SA_COOLING per step.
     Deterministic for a fixed (graph, c, config); restart r uses the RNG
     stream seeded by (seed, r) and ties across restarts keep the earliest.
     """
@@ -109,7 +107,7 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
     _check_c(n, c)
     w = g.weights
     deg = g.degrees
-    t0 = cfg.initial_temp if cfg.initial_temp is not None else float(w.max() * n)
+    t0 = float(w.max() * n)
 
     best_cut = math.inf
     best_minus: np.ndarray | None = None
@@ -146,7 +144,7 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
                 if cut < best_cut - 1e-12:
                     best_cut = cut
                     best_minus = nodes[:c].copy()
-            temp *= cfg.cooling
+            temp *= SA_COOLING
 
     z = _subset_to_z(n, best_minus)
     # report the exactly recomputed cut, not the incrementally accumulated one
@@ -165,10 +163,8 @@ def normalized_cut(pce_cut: float, baseline_cut: float) -> float:
 def _cache_key(g: WeightedGraph, c: int, method: str, cfg: SaConfig | None) -> str:
     if method == "sa":
         cfg = cfg or SaConfig()
-        fingerprint = (
-            f"sa-s{cfg.seed}-r{cfg.restarts}-n{cfg.steps}"
-            f"-t{cfg.initial_temp}-g{cfg.cooling}"
-        )
+        # the -tNone field stays in the key so that existing caches still hit
+        fingerprint = f"sa-s{cfg.seed}-r{cfg.restarts}-n{cfg.steps}-tNone-g{SA_COOLING}"
     else:
         fingerprint = "exhaustive"
     return f"{graph_hash(g)}:c{c}:{fingerprint}"

@@ -31,8 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoding import PauliString
-
 __all__ = [
     "parameter_count",
     "prepare_state",
@@ -192,13 +190,8 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-def _letters(p) -> str:
-    return p.letters if isinstance(p, PauliString) else str(p)
-
-
-def expectation(state: np.ndarray, p) -> float:
-    """<state| P |state> for one Pauli string (letters or PauliString)."""
-    letters = _letters(p)
+def expectation(state: np.ndarray, letters: str) -> float:
+    """<state| P |state> for one Pauli string, given as its letters."""
     m = _num_qubits(state)
     if len(letters) != m:
         raise ValueError(f"string {letters!r} acts on {len(letters)} qubits, state has {m}")
@@ -292,12 +285,10 @@ class ExpectationKernel:
     <P_s> = sum_b p_letter[b] (-1)^popcount(b & s).
     """
 
-    def __init__(self, strings, m: int | None = None):
-        letters = [_letters(p) for p in strings]
+    def __init__(self, letters: list[str]):
         if not letters:
             raise ValueError("need at least one Pauli string")
-        if m is None:
-            m = len(letters[0])
+        m = len(letters[0])
         if any(len(s) != m for s in letters):
             raise ValueError("all strings must act on the same qubit count")
         supports = [_letter_and_support(s) for s in letters]  # refuses mixed letters

@@ -17,12 +17,12 @@ ends when every soft value clears M, when the outer-iteration cap is hit,
 or one inner run after the proposed alpha overflows the alpha cap (at the
 cap tanh is bitwise saturated and further updates are inert).
 
-solve_steps is the loop, as a generator that asks for the loss of each
-state it evaluates and for the expectation vector of the state each inner
-run ends at. solve drives one run of it alone; run_lockstep drives
-independent runs together, sharing each step's state preparation,
-expectation kernel and loss call, and gives bit for bit the outcomes solve
-gives.
+solve_steps is the loop, as a generator that asks for the expectation
+vector and the loss of each state it evaluates. run_lockstep is its one
+driver: it serves independent runs together, sharing each step's state
+preparation, expectation kernel and loss call, and solve is run_lockstep
+over one run. Shared calls are bit-equal row for row to 1-D calls, so a
+run's outcome does not depend on the runs that share its steps.
 """
 
 from __future__ import annotations
@@ -230,18 +230,17 @@ def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> flo
 def solve_steps(cfg: PceConfig):
     """The solve loop as a step generator; solve's docstring gives its semantics.
 
-    Yields (ansatz, theta, spec) for every state of the run, with ansatz as
-    run_lockstep describes it. For a Nelder-Mead evaluation spec is the
-    ObjectiveSpec at the current alpha, and the generator is sent the loss
-    of theta's expectation vector under it; at the end of each inner run
-    spec is None, and it is sent the expectation vector itself. Returns the
-    SolveOutcome.
+    Yields (ansatz, theta, spec) for every state the run evaluates, with
+    ansatz as run_lockstep describes it and spec the ObjectiveSpec at the
+    current alpha, and is sent (loss, e): theta's expectation vector e and
+    its loss under spec. An inner run ends at the e of the value Nelder-Mead
+    reports as its best. Returns the SolveOutcome.
     """
     enc = cfg.objective.encoding
     # what a state depends on besides its angles; the letters are joined into
     # a str, which caches its hash, so grouping runs by ansatz costs the same
     # at any string count
-    ansatz = enc.m, cfg.layers, " ".join(p.letters for p in enumerate_strings(enc))
+    ansatz = enc.m, cfg.layers, " ".join(enumerate_strings(enc))
     iterative = cfg.alpha_mode == "iterative"
     alpha = float(cfg.alpha0) if iterative else cfg.objective.alpha
     theta = random_init(parameter_count(enc.m, cfg.layers), cfg.seed)
@@ -252,15 +251,18 @@ def solve_steps(cfg: PceConfig):
     for outer in range(1, cfg.max_outer_iters + 1):
         spec = replace(cfg.objective, alpha=alpha)
         run = nelder_mead(theta, cfg.optimizer.budget(theta.size))
+        best = math.inf
         try:
             x = next(run)
             while True:
-                x = run.send((yield ansatz, x, spec))
+                value, x_e = yield ansatz, x, spec
+                if value < best:  # nelder_mead's rule, so e is best_params' vector
+                    best, e = value, x_e
+                x = run.send(value)
         except StopIteration as stop:
             result = stop.value
         theta = result.best_params
         total_evals += result.evals
-        e = yield ansatz, theta, None
         soft = soft_values(np.clip(e, -1.0, 1.0), alpha)
         proposed = next_alpha(soft, alpha, cfg.M, cfg.update_rule) if iterative else alpha
         done = proposed == alpha
@@ -310,14 +312,13 @@ def run_lockstep(jobs, spent: list[float] | None = None):
     """Drive step generators together until each one returns.
 
     A job yields (ansatz, theta, spec), with ansatz = (m, layers, the
-    strings' letters joined by spaces), and is sent the loss of theta's
-    expectation vector under spec, or the vector itself when spec is None.
-    Each step serves every waiting job with one prepare_state call and one
-    kernel call per ansatz, as a (B, d) stack, and one loss call over the
-    rows that carry a spec, as a (B, n) stack, whose specs must share one
-    graph object, as the cells of a plan do; a job that waits alone on its
-    ansatz gets the 1-D calls. Rows are bit-equal to 1-D calls, so no job's
-    results depend on which jobs share its steps.
+    strings' letters joined by spaces), and is sent (loss, e): theta's
+    expectation vector e and its loss under spec. Each step serves every
+    waiting job with one prepare_state, one kernel and one loss call per
+    ansatz, over (B, d) and (B, n) stacks; the specs of a stack must share
+    one graph object, as the cells of a plan do. A job that waits alone on
+    its ansatz gets the 1-D calls. Rows are bit-equal to 1-D calls, so no
+    job's results depend on which jobs share its steps.
 
     Yields (index, value) as job `index` ends, where value is what it
     returned or the exception it raised; the other jobs go on. If spent is
@@ -359,24 +360,17 @@ def run_lockstep(jobs, spent: list[float] | None = None):
             try:
                 kernel = kernels.get(ansatz)
                 if kernel is None:
-                    kernel = kernels[ansatz] = ExpectationKernel(strings.split(), m)
+                    kernel = kernels[ansatz] = ExpectationKernel(strings.split())
                 if len(rows) == 1:
-                    # 1-D calls: per prepare_state + kernel call, a one-row
-                    # stack costs 26.6-27.4 against 23.2-24.3 us at m=3 and
-                    # 99.4-101.6 against 92.3-96.6 us at m=9 (1 BLAS thread),
-                    # and a one-row loss stack about 7 us more than the 1-D
-                    # loss at n = 6, 105 and 300
+                    # 1-D calls: as a one-row stack (1 BLAS thread), the loss
+                    # took 18.1 against 10.3 us at n=6, and prepare_state plus
+                    # the kernel 162 against 140 us at n=105
                     (_, theta, spec), = rows
                     e = kernel(prepare_state(m, theta, layers))
-                    replies = [e if spec is None else loss(spec, e)]
+                    replies = [(loss(spec, e), e)]
                 else:
                     es = kernel(prepare_state(m, np.array([row[1] for row in rows]), layers))
-                    replies = list(es)
-                    scored = [b for b, row in enumerate(rows) if row[2] is not None]
-                    if scored:
-                        values = loss([rows[b][2] for b in scored], es[scored])
-                        for b, value in zip(scored, values):
-                            replies[b] = value
+                    replies = list(zip(loss([row[2] for row in rows], es), es))
             except Exception as exc:  # every job of the group gets the error
                 for i, _, _ in rows:
                     advance(i, error=exc)
@@ -400,19 +394,13 @@ def solve(cfg: PceConfig) -> SolveOutcome:
     alpha the loop set. After max_outer_iters that is the alpha proposed
     after the last inner run, which no inner run has used.
 
-    Drives solve_steps(cfg) alone, serving each request with 1-D
-    prepare_state, kernel and loss calls.
+    Runs solve_steps(cfg) as the one job of run_lockstep, and raises the
+    exception the job ended with.
     """
-    enc = cfg.objective.encoding
-    kernel = ExpectationKernel(enumerate_strings(enc), enc.m)
-    run = solve_steps(cfg)
-    try:
-        _, theta, spec = next(run)
-        while True:
-            e = kernel(prepare_state(enc.m, theta, cfg.layers))
-            _, theta, spec = run.send(e if spec is None else loss(spec, e))
-    except StopIteration as stop:
-        return stop.value
+    ((_, result),) = run_lockstep([solve_steps(cfg)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def control_config(outcome: SolveOutcome, cfg: PceConfig) -> PceConfig:

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import pce_mincut.solver as solver_mod
 from pce_mincut.graph import WeightedGraph, generate_complete_graph
 
 
@@ -43,3 +44,17 @@ def random_graphs(count, max_n, seed=0, min_n=3):
                                     low=0.1, high=2.0)
         )
     return graphs
+
+
+@pytest.fixture
+def prepared_rows(monkeypatch):
+    """The row count of every solver.prepare_state call, appended as it is made."""
+    rows = []
+    real = solver_mod.prepare_state
+
+    def prepare_state(m, theta, layers=1):
+        rows.append(1 if np.ndim(theta) == 1 else len(theta))
+        return real(m, theta, layers)
+
+    monkeypatch.setattr(solver_mod, "prepare_state", prepare_state)
+    return rows

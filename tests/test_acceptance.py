@@ -89,7 +89,7 @@ def test_criterion_1_quantum_oracle_equivalence():
             psi = prepare_state(m, theta)
             ref_psi = dense_prepare(m, theta)
             fast = kernel(psi)
-            ref = np.array([dense_expectation(ref_psi, s.letters) for s in strings])
+            ref = np.array([dense_expectation(ref_psi, s) for s in strings])
             worst = max(worst, float(np.max(np.abs(fast - ref))))
     elapsed = time.monotonic() - t0
     assert worst < 1e-10

@@ -220,6 +220,14 @@ def test_config_keeps_json_values_that_fit(tmp_path):
      r"solvers\[1\] has key 'bogus'"),
     ([["fixed"]], "'solvers' must be a list of objects"),
     ({"label": "a"}, "'solvers' must be a list of objects"),
+    ([{"label": "x", "mode": "fixed", "alpha": "100"}],
+     r"solvers\[0\] key 'alpha' must be a number or null, got '100'"),
+    ([{"label": "x", "mode": "fixed", "alpha": 2.0}, {"label": 7}],
+     r"solvers\[1\] key 'label' must be a string, got 7"),
+    ([{"mode": "both"}], r"solvers\[0\] key 'mode' must be one of \['fixed', 'iterative'\]"),
+    ([{"paired_control": "yes"}], r"solvers\[0\] key 'paired_control' must be true or false"),
+    ([{"k": 2.5}], r"solvers\[0\] key 'k' must be an integer or null"),
+    ([{"optimizer": {"max_evals": 200}}], r"solvers\[0\] has key 'optimizer'.*--max-evals"),
 ])
 def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
     with pytest.raises(SystemExit, match=match) as exc_info:

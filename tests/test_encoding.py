@@ -5,27 +5,22 @@ from dense_reference import pauli_matrix
 from pce_mincut.encoding import (
     CapacityError,
     EncodingSpec,
-    PauliString,
     capacity,
     enumerate_strings,
     minimal_qubits,
 )
 
 
-def letters_of(spec):
-    return [s.letters for s in enumerate_strings(spec)]
-
-
 def test_full_xyz_m3_k2_enumeration():
     spec = EncodingSpec("full_xyz", m=3, n_vars=9, k=2)
-    assert letters_of(spec) == [
+    assert enumerate_strings(spec) == [
         "IXX", "IYY", "IZZ", "XIX", "YIY", "ZIZ", "XXI", "YYI", "ZZI",
     ]
 
 
 def test_single_pauli_z_m5_k2_enumeration():
     spec = EncodingSpec("single_pauli", m=5, n_vars=9, k=2, pauli="Z")
-    assert letters_of(spec) == [
+    assert enumerate_strings(spec) == [
         "IIIZZ", "IIZIZ", "IZIIZ", "ZIIIZ", "IIZZI",
         "IZIZI", "ZIIZI", "IZZII", "ZIZII",
     ]
@@ -36,10 +31,10 @@ def test_mixed_k_capacity_and_order():
     spec = EncodingSpec("single_pauli_mixed", m=4, n_vars=15, k_range=(1, 4), pauli="Z")
     strings = enumerate_strings(spec)
     assert len(strings) == 15
-    orders = [s.order_k for s in strings]
+    orders = [len(s) - s.count("I") for s in strings]
     assert orders == sorted(orders)  # ascending k
-    assert strings[0].letters == "IIIZ"
-    assert strings[-1].letters == "ZZZZ"
+    assert strings[0] == "IIIZ"
+    assert strings[-1] == "ZZZZ"
 
 
 def test_capacity_examples():
@@ -79,8 +74,8 @@ def test_enumeration_truncates_to_n_vars():
     spec = EncodingSpec("full_xyz", m=4, n_vars=14, k=2)
     strings = enumerate_strings(spec)
     assert len(strings) == 14
-    assert len({s.letters for s in strings}) == 14
-    assert [s.variable_index for s in strings] == list(range(14))
+    assert len(set(strings)) == 14
+    assert strings == enumerate_strings(EncodingSpec("full_xyz", m=4, n_vars=18, k=2))[:14]
 
 
 def test_single_pauli_type_invariant():
@@ -91,19 +86,8 @@ def test_single_pauli_type_invariant():
     ):
         spec = EncodingSpec(family, m=4, n_vars=capacity(family, 4, kw.get("k", kw.get("k_range"))), **kw)
         for s in enumerate_strings(spec):
-            kinds = {ch for ch in s.letters if ch != "I"}
+            kinds = set(s) - {"I"}
             assert len(kinds) == 1
-
-
-def test_pauli_string_validation():
-    with pytest.raises(ValueError):
-        PauliString("IXZ")  # mixed types
-    with pytest.raises(ValueError):
-        PauliString("III")  # no support
-    with pytest.raises(ValueError):
-        PauliString("IQ")
-    p = PauliString("IXX")
-    assert p.order_k == 2 and p.m == 3 and p.pauli == "X"
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -112,9 +96,9 @@ def test_groups_commute_under_matrix_multiplication(m):
     spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
     groups = {}
     for s in enumerate_strings(spec):
-        groups.setdefault(s.pauli, []).append(s)
+        groups.setdefault(s.strip("I")[0], []).append(s)
     for group in groups.values():
-        mats = [pauli_matrix(s.letters) for s in group]
+        mats = [pauli_matrix(s) for s in group]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 assert np.allclose(mats[i] @ mats[j], mats[j] @ mats[i])

@@ -141,10 +141,13 @@ def test_edge_list_parsing(tmp_path):
 
 @pytest.mark.parametrize("suffix", [".json", ".txt"])
 def test_round_trip(tmp_path, suffix):
-    g = generate_complete_graph(7, weights="uniform", seed=42)
     p = tmp_path / f"g{suffix}"
-    write_graph(g, p)
-    assert read_graph(p) == g
+    # the last node has no edges in the second graph, and the third has none
+    for g in (generate_complete_graph(7, weights="uniform", seed=42),
+              generate_complete_graph(5, seed=2, drop_prob=0.7),
+              WeightedGraph(np.zeros((4, 4)))):
+        write_graph(g, p)
+        assert read_graph(p) == g
 
 
 def test_conflicting_symmetric_entry(tmp_path):

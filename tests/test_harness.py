@@ -487,6 +487,13 @@ def test_a_failing_run_gives_its_error_record_in_place(
     assert all(r["wall_time_s"] > 0 for r in records if "error" not in r)
 
 
+def test_a_plan_prepares_one_state_per_evaluation(prepared_rows):
+    records, report = run_plan(small_plan())
+    assert not report.failures and len(records) == 4
+    assert max(prepared_rows) > 1  # the cells shared stacked calls
+    assert sum(prepared_rows) == sum(r["outcome"]["inner_evals"] for r in records)
+
+
 def test_a_failing_batched_call_fails_only_the_cells_it_served(
         sequential_lockstep_records, monkeypatch):
     real_prepare = solver_mod.prepare_state

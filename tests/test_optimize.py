@@ -148,7 +148,7 @@ def pce_loss_k6():
     cfg = default_config(generate_complete_graph(6), 3, alpha_mode="fixed", seed=0)
     spec = cfg.objective
     m = spec.encoding.m
-    kernel = ExpectationKernel(enumerate_strings(spec.encoding), m)
+    kernel = ExpectationKernel(enumerate_strings(spec.encoding))
 
     def f(theta):
         return loss(spec, kernel(prepare_state(m, theta, cfg.layers)))

@@ -119,7 +119,7 @@ def test_expectation_matches_dense_oracle(m):
         psi = prepare_state(m, rng.uniform(-np.pi, np.pi, 6 * m))
         for s in strings:
             assert expectation(psi, s) == pytest.approx(
-                dense_expectation(psi, s.letters), abs=1e-10
+                dense_expectation(psi, s), abs=1e-10
             )
 
 
@@ -140,7 +140,7 @@ def test_kernel_mixed_orders():
     kernel = ExpectationKernel(strings)
     rng = np.random.default_rng(21)
     psi = prepare_state(4, rng.uniform(-np.pi, np.pi, 24))
-    want = [dense_expectation(psi, s.letters) for s in strings]
+    want = [dense_expectation(psi, s) for s in strings]
     assert np.allclose(kernel(psi), want, atol=1e-10)
 
 
@@ -155,7 +155,7 @@ def test_pauli_bound_and_hermiticity(m):
             val = expectation(psi, s)
             assert abs(val) <= 1.0 + 1e-12
             # the dense path asserts imag < 1e-10 internally
-            dense_expectation(psi, s.letters)
+            dense_expectation(psi, s)
 
 
 def test_numerics_names_each_path():
@@ -198,7 +198,7 @@ def test_wht_kernel_exact_on_basis_states():
     strings = enumerate_strings(EncodingSpec("full_xyz", m=T, n_vars=capacity("full_xyz", T, 2),
                                              k=2))
     kernel = ExpectationKernel(strings)
-    letters = [s.pauli for s in strings]
+    letters = [s.strip("I")[0] for s in strings]
     assert kernel(zero).tolist() == [1.0 if p == "Z" else 0.0 for p in letters]
     assert kernel(plus).tolist() == [1.0 if p == "X" else 0.0 for p in letters]
 
@@ -208,8 +208,8 @@ def test_wht_kernel_matches_dense_oracle():
     psi = prepare_state(T, rng.uniform(-np.pi, np.pi, parameter_count(T)))
     strings = enumerate_strings(EncodingSpec("full_xyz", m=T, n_vars=capacity("full_xyz", T, 3),
                                              k=3))[::23]
-    assert {s.pauli for s in strings} == set("XYZ")
-    want = [dense_expectation(psi, s.letters) for s in strings]
+    assert {s.strip("I")[0] for s in strings} == set("XYZ")
+    want = [dense_expectation(psi, s) for s in strings]
     assert np.allclose(ExpectationKernel(strings)(psi), want, rtol=0, atol=1e-12)
 
 
@@ -217,6 +217,13 @@ def test_wht_kernel_matches_dense_oracle():
 def test_kernel_refuses_mixed_letter_strings(m):
     with pytest.raises(ValueError, match="mixes Pauli letters"):
         ExpectationKernel(["XZ" + "I" * (m - 2)])
+
+
+def test_invalid_letters_are_refused():
+    with pytest.raises(ValueError, match="invalid Pauli"):
+        ExpectationKernel(["IQ"])
+    with pytest.raises(ValueError, match="invalid Pauli"):
+        expectation(np.array([1, 0, 0, 0], dtype=complex), "IQ")
 
 
 # kron path up to m=6, split from m=7, WHT kernel from m=8
@@ -244,18 +251,17 @@ def test_kernel_matches_the_1d_reference_bit_for_bit(m):
     rng = np.random.default_rng(m + 59)
     k = 1 if m < 4 else 2
     strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, k), k=k))
-    letters = [s.letters for s in strings]
     kernel = ExpectationKernel(strings)
     for layers in (1, 2):
         dim = parameter_count(m, layers)
         psi = prepare_state(m, rng.uniform(-np.pi, np.pi, dim), layers)
-        assert kernel(psi).tobytes() == loop_reference.expectations(psi, letters).tobytes()
+        assert kernel(psi).tobytes() == loop_reference.expectations(psi, strings).tobytes()
         for rows in (1, 7, 40):
             states = prepare_state(m, rng.uniform(-np.pi, np.pi, (rows, dim)), layers)
             values = kernel(states)
             assert values.shape == (rows, len(strings))
             for state, row in zip(states, values):
-                assert row.tobytes() == loop_reference.expectations(state, letters).tobytes()
+                assert row.tobytes() == loop_reference.expectations(state, strings).tobytes()
 
 
 @pytest.mark.parametrize("m", [T, T + 1])

@@ -7,7 +7,8 @@ import pytest
 import pce_mincut.solver as solver_mod
 from pce_mincut.graph import generate_complete_graph
 from pce_mincut.objective import binarization
-from pce_mincut.optimize import OptimizerConfig
+from pce_mincut.optimize import EvaluationError, OptimizerConfig, random_init
+from pce_mincut.quantum import parameter_count
 from pce_mincut.solver import (
     CONTROL_SEED_OFFSET,
     PceConfig,
@@ -123,6 +124,24 @@ def test_history_minus_counts_and_evals(k6):
         assert 0 <= h.minus_count <= 6
         assert 0.0 <= h.binarization <= 1.0
     assert out.history[-1].binarization == 1.0
+
+
+def test_every_prepared_state_is_an_evaluation(k6, prepared_rows):
+    # an inner run ends at the expectations of its best evaluation; no state
+    # is prepared again to read them
+    out = solve(default_config(k6, 2, seed=3, optimizer=FAST))
+    assert out.outer_iters > 1
+    assert sum(prepared_rows) == out.inner_evals
+
+
+def test_a_non_finite_loss_raises_with_its_parameters(k6, monkeypatch):
+    monkeypatch.setattr(solver_mod, "loss", lambda spec, e: math.nan)
+    cfg = default_config(k6, 2, seed=5, optimizer=FAST)
+    with pytest.raises(EvaluationError) as exc_info:
+        solve(cfg)
+    start = random_init(parameter_count(cfg.objective.encoding.m, cfg.layers), cfg.seed)
+    assert math.isnan(exc_info.value.value)
+    assert np.array_equal(exc_info.value.params, start)
 
 
 def test_warm_start_chains_theta(k6, monkeypatch):
