@@ -40,7 +40,7 @@ from .harness import (
     run_plan,
 )
 from .optimize import OptimizerConfig
-from .oracles import SaConfig, baseline_cut
+from .oracles import SaConfig, baseline_cut, positive_baseline
 from .solver import default_config, solve
 
 
@@ -185,27 +185,23 @@ def cmd_baseline(args) -> int:
 
 def cmd_solve(args) -> int:
     g = read_graph(args.graph)
-    try:
-        cfg = default_config(
-            g, args.c,
-            alpha_mode=args.alpha_mode,
-            seed=args.seed,
-            alpha=args.alpha,
-            max_outer_iters=args.max_outer_iters,
-            alpha_cap=args.alpha_cap,
-            **_solver_kwargs(args),
-        )
-    except ValueError as exc:  # a solver value out of range
-        raise SystemExit(f"solve: {exc}") from exc
+    cfg = default_config(
+        g, args.c,
+        alpha_mode=args.alpha_mode,
+        seed=args.seed,
+        alpha=args.alpha,
+        max_outer_iters=args.max_outer_iters,
+        alpha_cap=args.alpha_cap,
+        **_solver_kwargs(args),
+    )
+    baseline = positive_baseline(baseline_cut(g, args.c, method=args.baseline_method,
+                                              sa_config=SaConfig(seed=args.baseline_seed),
+                                              cache_path=args.cache), args.c)
     t0 = time.perf_counter()
     outcome = solve(cfg)
     wall = time.perf_counter() - t0
-    baseline = baseline_cut(g, args.c, method=args.baseline_method,
-                            sa_config=SaConfig(seed=args.baseline_seed),
-                            cache_path=args.cache)
     source = GraphSource(kind="file", path=str(args.graph))
     record = make_record(cfg, outcome, source.to_dict(g), label="cli-solve",
-                         role="iterative" if args.alpha_mode == "iterative" else "single",
                          pair_id=None, baseline=baseline, wall_time_s=wall)
     print(json.dumps(record, indent=2))
     if args.history and outcome.history is not None:
@@ -264,10 +260,7 @@ def _plan_from_args(args) -> ExperimentPlan:
 
 
 def cmd_bench(args) -> int:
-    try:
-        plan = _plan_from_args(args)
-    except ValueError as exc:  # a plan or solver value out of range
-        raise SystemExit(f"bench: {exc}") from exc
+    plan = _plan_from_args(args)
     done = {"count": 0}
 
     def tick(rec):
@@ -381,9 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _apply_config(parser.parse_args(argv))
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        args = _apply_config(args)
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # a bad input or file: one line, no traceback
+        raise SystemExit(f"{args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

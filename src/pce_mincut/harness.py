@@ -19,7 +19,7 @@ import csv
 import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .encoding import EncodingSpec
 from .graph import WeightedGraph, generate_complete_graph, graph_hash, read_graph
 from .objective import ObjectiveSpec, binarization
 from .optimize import F_TOL, INITIAL_STEP, METHOD, X_TOL, OptimizerConfig
-from .oracles import SaConfig, baseline_cut, normalized_cut
+from .oracles import SaConfig, baseline_cut, normalized_cut, positive_baseline
 from .quantum import numerics
 from .solver import (
     ANSATZ_LAYOUT,
@@ -182,10 +182,11 @@ def metric_epsilon_c(records) -> float:
 
 # --- record building and replay ----------------------------------------------
 
-# PceConfig fields stored at the top level of a record's config, in order
-_SCHEDULE_FIELDS = ("alpha_mode", "seed", "M", "alpha0", "update_rule",
-                    "max_outer_iters", "alpha_cap", "layers")
-_OBJECTIVE_FIELDS = ("alpha", "c", "beta", "eta")
+# a record's config keys of the schedule and of its objective, in field order
+_SCHEDULE_FIELDS = tuple(f.name for f in fields(PceConfig)
+                         if f.name not in ("objective", "optimizer"))
+_OBJECTIVE_FIELDS = tuple(f.name for f in fields(ObjectiveSpec)
+                          if f.name not in ("graph", "encoding"))
 
 # Values this code always runs with. Records store them so they stay
 # self-describing; a record that ran under other values is refused, not
@@ -257,32 +258,10 @@ def config_from_dict(d: dict, graph: WeightedGraph) -> PceConfig:
 
 
 def outcome_to_dict(out: SolveOutcome, include_history: bool = True) -> dict:
-    d = {
-        "z": out.z.tolist(),
-        "soft": out.soft.tolist(),
-        "feasible": out.feasible,
-        "cut": out.cut,
-        "final_alpha": out.final_alpha,
-        "outer_iters": out.outer_iters,
-        "inner_evals": out.inner_evals,
-        "theta_final": out.theta_final.tolist(),
-        "loss_final": out.loss_final,
-        "capped": out.capped,
-        "history": None,
-    }
-    if include_history and out.history is not None:
-        d["history"] = [
-            {
-                "iter": h.outer_iter,
-                "alpha": h.alpha,
-                "loss": h.loss,
-                "binarization": h.binarization,
-                "minus_count": h.minus_count,
-                "evals": h.evals,
-                "stalled": h.stalled,
-            }
-            for h in out.history
-        ]
+    d = asdict(out, dict_factory=lambda items: {
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
+    if not include_history:
+        d["history"] = None
     return d
 
 
@@ -291,12 +270,14 @@ def make_record(
     outcome: SolveOutcome,
     graph_info: dict,
     label: str,
-    role: str,
     pair_id: str | None,
     baseline: float,
     wall_time_s: float,
     include_history: bool = True,
 ) -> dict:
+    """A run's record; a fixed run with a pair_id is that pair's control."""
+    role = ("iterative" if cfg.alpha_mode == "iterative"
+            else "single" if pair_id is None else "control")
     return {
         "artifact_version": ARTIFACT_VERSION,
         "label": label,
@@ -325,7 +306,7 @@ def replay_record(record: dict, graph: WeightedGraph | None = None) -> SolveOutc
 
 
 def read_records(path) -> list[dict]:
-    """Records of a JSON-lines file; ValueError naming the line that does not parse."""
+    """Records of a JSON-lines file; ValueError naming a line that is no JSON object."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
@@ -333,32 +314,21 @@ def read_records(path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"a JSON {type(record).__name__}, not an object")
+            except ValueError as exc:  # JSONDecodeError is one
                 raise ValueError(f"{path}, line {number}: not a JSON record ({exc})") from exc
+            records.append(record)
     return records
 
 
 # --- plan execution ----------------------------------------------------------
 
 def _build_config(graph: WeightedGraph, spec: SolverSpec, c: int, seed: int) -> PceConfig:
-    return default_config(
-        graph,
-        c,
-        alpha_mode=spec.mode,
-        seed=seed,
-        alpha=spec.alpha,
-        beta=spec.beta,
-        eta=spec.eta,
-        family=spec.family,
-        pauli=spec.pauli,
-        k=spec.k,
-        layers=spec.layers,
-        optimizer=spec.optimizer,
-        M=spec.M,
-        alpha0=spec.alpha0,
-        update_rule=spec.update_rule,
-    )
+    settings = {f.name: getattr(spec, f.name) for f in fields(spec)
+                if f.name not in ("label", "mode", "paired_control")}
+    return default_config(graph, c, alpha_mode=spec.mode, seed=seed, **settings)
 
 
 def _cell_seed(seed_base: int, c: int, rep: int) -> int:
@@ -374,9 +344,8 @@ def _cell_steps(cell: tuple, clock):
     cfg = _build_config(graph, spec, c, _cell_seed(seed_base, c, rep))
     out = yield from solve_steps(cfg)
     wall = clock()
-    role = "iterative" if cfg.alpha_mode == "iterative" else "single"
     records = [
-        make_record(cfg, out, graph_info, spec.label, role,
+        make_record(cfg, out, graph_info, spec.label,
                     pair_id if spec.paired_control else None,
                     baseline, wall, record_history)
     ]
@@ -384,8 +353,8 @@ def _cell_steps(cell: tuple, clock):
         ctrl_cfg = control_config(out, cfg)
         ctrl = yield from solve_steps(ctrl_cfg)
         records.append(
-            make_record(ctrl_cfg, ctrl, graph_info, f"{spec.label}-control", "control",
-                        pair_id, baseline, clock() - wall, record_history)
+            make_record(ctrl_cfg, ctrl, graph_info, f"{spec.label}-control", pair_id,
+                        baseline, clock() - wall, record_history)
         )
     return records
 
@@ -412,9 +381,9 @@ def _run_cells(cells: list[tuple]):
         yield i, [_error_record(cells[i], result)] if isinstance(result, Exception) else result
 
 
-def _run_share(cells: list[tuple]) -> list[list[dict]]:
-    """One worker's cells, run in lockstep; their records in the given order."""
-    return [records for _, records in sorted(_run_cells(cells), key=lambda item: item[0])]
+def _run_share(cells: list[tuple]) -> list[tuple[int, list[dict]]]:
+    """One worker's cells, run in lockstep; (position, records) as each cell ended."""
+    return list(_run_cells(cells))
 
 
 def run_plan(
@@ -438,8 +407,8 @@ def run_plan(
     c_values = plan.resolve_c_values(graph.n)
     sa_cfg = SaConfig(seed=plan.baseline_seed)
     baselines = {
-        c: baseline_cut(graph, c, method=plan.baseline_method,
-                        sa_config=sa_cfg, cache_path=plan.baseline_cache)
+        c: positive_baseline(baseline_cut(graph, c, method=plan.baseline_method,
+                                          sa_config=sa_cfg, cache_path=plan.baseline_cache), c)
         for c in c_values
     }
 
@@ -471,8 +440,8 @@ def run_plan(
                 futures = {pool.submit(_run_share, [cells[j] for j in share]): share
                            for share in shares if share}
                 for future in as_completed(futures):
-                    for j, cell_records in zip(futures[future], future.result()):
-                        release(j, cell_records)
+                    for i, cell_records in future.result():
+                        release(futures[future][i], cell_records)
         else:
             for j, cell_records in _run_cells(cells):
                 release(j, cell_records)
@@ -535,14 +504,6 @@ class AggregateReport:
     contingency: list[ContingencyRow] = field(default_factory=list)
     paired_cuts: list[PairedCutRow] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [asdict(r) for r in self.rows],
-            "contingency": [asdict(r) for r in self.contingency],
-            "paired_cuts": [asdict(r) for r in self.paired_cuts],
-            "failures": self.failures,
-        }
 
 
 def _mean(values) -> float | None:
@@ -661,7 +622,7 @@ def emit_report(records: list[dict], report: AggregateReport, out_dir=".") -> No
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.md").write_text(render_markdown(report))
-    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
     for name, rows in (
         ("report_rows.csv", report.rows),
         ("report_contingency.csv", report.contingency),

@@ -49,6 +49,7 @@ class ObjectiveSpec:
     upper-bounds every size-c cut and needs no per-instance tuning.
     """
 
+    # the fields after encoding are a run record's objective keys, in order
     graph: WeightedGraph
     encoding: EncodingSpec
     alpha: float

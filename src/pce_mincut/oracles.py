@@ -26,6 +26,7 @@ __all__ = [
     "exhaustive_best",
     "sa_solve",
     "normalized_cut",
+    "positive_baseline",
     "baseline_cut",
 ]
 
@@ -158,6 +159,14 @@ def normalized_cut(pce_cut: float, baseline_cut: float) -> float:
             f"baseline cut must be positive, got {baseline_cut} (degenerate instance)"
         )
     return float(pce_cut) / float(baseline_cut)
+
+
+def positive_baseline(value: float, c: int) -> float:
+    """value, if it can normalize cuts; ValueError naming c if it is not positive."""
+    if value <= 0.0:
+        raise ValueError(f"baseline cut for c={c} is {value}; it must be positive "
+                         "(degenerate instance)")
+    return value
 
 
 def _cache_key(g: WeightedGraph, c: int, method: str, cfg: SaConfig | None) -> str:

@@ -77,10 +77,11 @@ def _check_alpha0(alpha0: float) -> None:
 
 @dataclass(frozen=True)
 class PceConfig:
+    # the fields after optimizer are a run record's first config keys, in order
     objective: ObjectiveSpec
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    seed: int = 0
     alpha_mode: str = "fixed"  # "fixed" | "iterative"
+    seed: int = 0
     M: float = 0.90
     alpha0: float = 3.0
     update_rule: str = "arctanh_ratio"  # | "large_scale"
@@ -106,9 +107,11 @@ class PceConfig:
             raise ValueError("layers must be at least 1")
 
 
+# the field orders of IterationRecord and SolveOutcome are the key orders of
+# a run record's history steps and outcome
 @dataclass
 class IterationRecord:
-    outer_iter: int
+    iter: int
     alpha: float
     loss: float
     binarization: float
@@ -269,7 +272,7 @@ def solve_steps(cfg: PceConfig):
         stalled = (not done) and math.isfinite(proposed) and proposed < alpha * STALL_FACTOR
         history.append(
             IterationRecord(
-                outer_iter=outer,
+                iter=outer,
                 alpha=alpha,
                 loss=result.best_value,
                 binarization=binarization(soft),

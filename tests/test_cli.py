@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import pce_mincut.solver as solver_mod
 from pce_mincut.cli import _apply_config, _plan_from_args, build_parser, main
 from pce_mincut.graph import read_graph
 from pce_mincut.harness import SolverSpec
@@ -233,3 +234,42 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
     with pytest.raises(SystemExit, match=match) as exc_info:
         bench_args(tmp_path, {"solvers": solvers}, "--n", 4)
     assert str(exc_info.value).startswith(str(tmp_path / "plan.json"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("bench --graph {tmp}/bad.txt --reps 1", "bench: {tmp}/bad.txt:2: "),
+    ("solve --graph {tmp}/bad.txt --c 2", "solve: {tmp}/bad.txt:2: "),
+    ("bench --n 6 --c-values 4 --reps 1", "bench: c=4 outside [1, n/2] for n=6"),
+    ("baseline --graph {tmp}/k4.json --c 3", "baseline: c must be in [1, n/2] = [1, 2], got 3"),
+    ("bench --n 4 --reps 1 --cache {tmp}/cache.json",
+     "bench: baseline cache {tmp}/cache.json is not valid JSON"),
+    ("report --records {tmp}/missing.jsonl", "report: [Errno 2] No such file or directory"),
+], ids=["bench-graph-file", "solve-graph-file", "c-values", "baseline-c", "cache", "records"])
+def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
+    (tmp_path / "bad.txt").write_text("0 1 1.0\n1 x 2.0\n")
+    (tmp_path / "cache.json").write_text("not json\n")
+    run_cli("generate", "--n", 4, "--out", tmp_path / "k4.json")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv.format(tmp=tmp_path).split())
+    text = str(exc_info.value)
+    assert text.startswith(message.format(tmp=tmp_path))
+    assert "\n" not in text
+
+
+@pytest.mark.parametrize("argv", [
+    "bench --c-values 2 --reps 1 --records {tmp}/runs.jsonl", "solve --c 2",
+], ids=["bench", "solve"])
+def test_a_zero_baseline_is_refused_before_any_solve(tmp_path, monkeypatch, argv):
+    graph = tmp_path / "split.txt"
+    graph.write_text("0 1 1.0\n2 3 1.0\n")  # c=2 has a cut of weight 0
+    prepared = []
+    real_prepare = solver_mod.prepare_state
+    monkeypatch.setattr(solver_mod, "prepare_state",
+                        lambda *args: prepared.append(args) or real_prepare(*args))
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv.format(tmp=tmp_path).split(), "--graph", graph,
+                "--baseline-method", "exhaustive")
+    assert str(exc_info.value) == (f"{argv.split()[0]}: baseline cut for c=2 is 0.0; "
+                                   "it must be positive (degenerate instance)")
+    assert prepared == []
+    assert not (tmp_path / "runs.jsonl").exists()

@@ -50,6 +50,8 @@ EXIT_RECORDS = Path(__file__).parent / "data" / "records_exits_v0_2_0.jsonl"
 # one fixed run each at m=7 (n=60) and m=8 (n=110), which prepare their
 # states on the split path; written by SPLIT_PLANS
 SPLIT_RECORDS = Path(__file__).parent / "data" / "records_split_v0_2_0.jsonl"
+# report.json of the records of V0_2_0_RECORDS and EXIT_RECORDS together
+REPORT_JSON = Path(__file__).parent / "data" / "report_v0_2_0.json"
 
 
 def small_plan(**overrides):
@@ -185,6 +187,12 @@ def test_emit_report_formats(tmp_path, plan_results):
     assert md.count("| x | x |") == 1
 
 
+def test_emit_report_writes_the_committed_report_json(tmp_path):
+    records = read_records(V0_2_0_RECORDS) + read_records(EXIT_RECORDS)
+    emit_report(records, aggregate(records), tmp_path)
+    assert (tmp_path / "report.json").read_bytes() == REPORT_JSON.read_bytes()
+
+
 def test_runs_and_history_csv(tmp_path, plan_results):
     _, records, _ = plan_results
     runs = tmp_path / "runs.csv"
@@ -204,6 +212,9 @@ def test_truncated_records_file_names_the_line(tmp_path, plan_results):
     cut = tmp_path / "killed.jsonl"
     cut.write_text(lines[0] + lines[1][:300])  # a campaign killed mid-write
     with pytest.raises(ValueError, match=r"killed\.jsonl, line 2"):
+        read_records(cut)
+    cut.write_text(lines[0] + "[1, 2]\n")  # JSON, but no record
+    with pytest.raises(ValueError, match=r"killed\.jsonl, line 2: .*a JSON list, not an object"):
         read_records(cut)
 
 
@@ -441,10 +452,10 @@ def sequential_lockstep_records():
                 out = solve(cfg)
                 ctrl = solve_pce_at_final_alpha(out, cfg)
                 records.append(make_record(cfg, out, plan.graph.to_dict(g), spec.label,
-                                           "iterative", pair_id, baseline, 0.0))
+                                           pair_id, baseline, 0.0))
                 records.append(make_record(control_config(out, cfg), ctrl,
                                            plan.graph.to_dict(g), f"{spec.label}-control",
-                                           "control", pair_id, baseline, 0.0))
+                                           pair_id, baseline, 0.0))
     return records
 
 
