@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -305,8 +304,14 @@ def replay_record(record: dict, graph: WeightedGraph | None = None) -> SolveOutc
     return solve(cfg)
 
 
+# every key of make_record's records; _error_record's need only "error"
+_RUN_RECORD_KEYS = ("artifact_version", "label", "role", "pair_id", "c", "graph",
+                    "config", "outcome", "metrics", "wall_time_s")
+
+
 def read_records(path) -> list[dict]:
-    """Records of a JSON-lines file; ValueError naming a line that is no JSON object."""
+    """Records of a JSON-lines file; ValueError naming a line that is neither
+    a run record nor an error record."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
@@ -317,6 +322,9 @@ def read_records(path) -> list[dict]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"a JSON {type(record).__name__}, not an object")
+                missing = [key for key in _RUN_RECORD_KEYS if key not in record]
+                if missing and "error" not in record:
+                    raise ValueError(f"no key {missing[0]!r}")
             except ValueError as exc:  # JSONDecodeError is one
                 raise ValueError(f"{path}, line {number}: not a JSON record ({exc})") from exc
             records.append(record)
@@ -435,6 +443,9 @@ def run_plan(
 
     try:
         if plan.workers > 1:
+            # imported here, as it loads multiprocessing and socket (~20 ms a process)
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             shares = [list(range(k, len(cells), plan.workers)) for k in range(plan.workers)]
             with ProcessPoolExecutor(max_workers=plan.workers) as pool:
                 futures = {pool.submit(_run_share, [cells[j] for j in share]): share

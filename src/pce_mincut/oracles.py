@@ -1,15 +1,21 @@
 """Classical reference solvers for size-constrained minimum cuts.
 
 exhaustive_best enumerates every size-c subset and is the ground truth for
-small instances. sa_solve is the simulated-annealing baseline used to
-normalize cut sizes; its move set swaps one selected node with one
-unselected node, so every visited state satisfies the budget exactly and
-no penalty term ever enters the oracle.
+small instances. It unranks the subsets in lexicographic order into blocks
+of at most EXHAUSTIVE_BLOCK index rows and scores a block at once, so its
+working set is bounded by the block, not by C(n, c). Ties keep the
+lexicographically smallest optimum: argmin takes a block's first minimum,
+and a later block replaces the best only when strictly smaller.
+
+sa_solve is the simulated-annealing baseline used to normalize cut sizes;
+its move set swaps one selected node with one unselected node, so every
+visited state satisfies the budget exactly and no penalty term ever enters
+the oracle. Its steps run on Python floats, which round exactly as float64
+does, so a step decides as the same arithmetic on numpy scalars would.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -31,7 +37,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_NODES = 22
-_CHUNK = 100_000
+EXHAUSTIVE_BLOCK = 1 << 14  # subsets scored at once; bounds the working set
 SA_COOLING = 0.995  # temperature factor per annealing step
 
 
@@ -66,6 +72,26 @@ def _subset_to_z(n: int, minus_nodes) -> np.ndarray:
     return z
 
 
+def _subset_blocks(n: int, c: int, size: int):
+    """The c-subsets of range(n) in lexicographic order, as (rows, c) blocks of
+    node indices with at most `size` rows each."""
+    # binom[k][j] = C(j, k): the k-subsets of the last j nodes
+    binom = [np.array([math.comb(j, k) for j in range(n + 1)]) for k in range(c + 1)]
+    total = math.comb(n, c)
+    for start in range(0, total, size):
+        # left: per rank, the subsets from it to the last, itself included.
+        # Position p takes node n - j for the smallest j whose last j nodes
+        # still hold `left` (c-p)-subsets; those that skip the node go off left.
+        left = total - np.arange(start, min(start + size, total))
+        block = np.empty((left.size, c), dtype=np.int8)  # n <= EXHAUSTIVE_MAX_NODES
+        for p in range(c):
+            counts = binom[c - p]
+            j = np.searchsorted(counts, left)
+            block[:, p] = n - j
+            left -= counts[j - 1]
+        yield block
+
+
 def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
     """Exact minimum over all c : n-c splits; ties keep the lexicographically
     smallest set of selected nodes."""
@@ -78,20 +104,18 @@ def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
     w = g.weights
     wsum = w.sum()
     best_cut = math.inf
-    best_subset: tuple[int, ...] | None = None
-    combos = itertools.combinations(range(n), c)
-    while True:
-        chunk = list(itertools.islice(combos, _CHUNK))
-        if not chunk:
-            break
-        zmat = np.ones((len(chunk), n))
-        rows = np.repeat(np.arange(len(chunk)), c)
-        zmat[rows, np.array(chunk).ravel()] = -1.0
-        cuts = 0.25 * (wsum - np.einsum("ai,ij,aj->a", zmat, w, zmat))
+    best_subset: np.ndarray | None = None
+    rows = np.arange(EXHAUSTIVE_BLOCK)[:, None]
+    for block in _subset_blocks(n, c, EXHAUSTIVE_BLOCK):
+        zmat = np.ones((len(block), n))
+        zmat[rows[: len(block)], block] = -1.0
+        cuts = 0.25 * (wsum - np.einsum("ai,ai->a", zmat @ w, zmat))
+        # argmin keeps a block's first minimum and the strict < an earlier
+        # block's, so the lexicographically smallest optimum wins
         i = int(np.argmin(cuts))
         if cuts[i] < best_cut:
             best_cut = float(cuts[i])
-            best_subset = chunk[i]
+            best_subset = block[i].copy()
     z = _subset_to_z(n, best_subset)
     return OracleResult(z=z, cut=cut_size(g, z), optimal=True)
 
@@ -107,44 +131,45 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
     n = g.n
     _check_c(n, c)
     w = g.weights
-    deg = g.degrees
+    weight = memoryview(w)  # weight[u, v] reads a Python float
+    deg = g.degrees.tolist()
     t0 = float(w.max() * n)
 
     best_cut = math.inf
-    best_minus: np.ndarray | None = None
+    best_minus: list[int] | None = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        nodes = rng.permutation(n)
-        # nodes[:c] is the selected (-1) side throughout
+        nodes = rng.permutation(n).tolist()  # nodes[:c] is the selected (-1) side throughout
         in_minus = np.zeros(n, dtype=bool)
         in_minus[nodes[:c]] = True
         to_minus = w[:, in_minus].sum(axis=1)  # weight from each node into the -1 side
+        weight_in = memoryview(to_minus)  # follows to_minus, which is updated in place
         cut = float(to_minus[~in_minus].sum())
         if cut < best_cut:
             best_cut = cut
-            best_minus = nodes[:c].copy()
+            best_minus = nodes[:c]
 
         ii = rng.integers(0, c, size=cfg.steps)
         jj = rng.integers(c, n, size=cfg.steps)
         accept_draw = rng.random(cfg.steps)
         temp = t0
-        for step in range(cfg.steps):
-            u = nodes[ii[step]]
-            v = nodes[jj[step]]
+        for i, j, draw in zip(memoryview(ii), memoryview(jj), memoryview(accept_draw)):
+            u = nodes[i]
+            v = nodes[j]
             delta = (
-                2.0 * to_minus[u]
+                2.0 * weight_in[u]
                 - deg[u]
                 + deg[v]
-                - 2.0 * to_minus[v]
-                + 2.0 * w[u, v]
+                - 2.0 * weight_in[v]
+                + 2.0 * weight[u, v]
             )
-            if delta <= 0.0 or (temp > 1e-12 and accept_draw[step] < math.exp(-delta / temp)):
-                nodes[ii[step]], nodes[jj[step]] = v, u
+            if delta <= 0.0 or (temp > 1e-12 and draw < math.exp(-delta / temp)):
+                nodes[i], nodes[j] = v, u
                 to_minus += w[:, v] - w[:, u]
                 cut += delta
                 if cut < best_cut - 1e-12:
                     best_cut = cut
-                    best_minus = nodes[:c].copy()
+                    best_minus = nodes[:c]
             temp *= SA_COOLING
 
     z = _subset_to_z(n, best_minus)

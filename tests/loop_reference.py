@@ -7,16 +7,21 @@ penalty squared as a float64 scalar, and `minimize` keeps the Nelder-Mead
 simplex as a Python list of vertex arrays sorted with `sorted` on every
 iteration. All four do the same arithmetic,
 element by element and in the same order, as the vectorized code in the
-package, so the tests require equal bytes, not a tolerance. `minimize` can
+package, so the tests require equal bytes, not a tolerance.
+`exhaustive_best` scores `itertools.combinations` tuples in chunks with a
+three-operand einsum, and `sa_solve` steps on numpy scalars; the package
+oracles must return the same assignment bytes and cut. `minimize` can
 also record which Nelder-Mead step each iteration took and which new vertices
 tied with another, so tests can show that their objectives reach every branch
 and every ordering case.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from pce_mincut.graph import cut_size
 from pce_mincut.objective import regularization
 from pce_mincut.optimize import (
     F_TOL,
@@ -26,6 +31,7 @@ from pce_mincut.optimize import (
     OptimizeResult,
     OptimizerConfig,
 )
+from pce_mincut.oracles import SA_COOLING, OracleResult, SaConfig, _subset_to_z
 from pce_mincut.quantum import (
     _KRON_COLUMN_MAX_QUBITS,
     _WHT_MIN_QUBITS,
@@ -225,3 +231,72 @@ def minimize(objective, x0, cfg=None, steps=None, ties=None):
         evals=evals,
         converged=converged,
     )
+
+
+def exhaustive_best(g, c):
+    n = g.n
+    w = g.weights
+    wsum = w.sum()
+    best_cut = math.inf
+    best_subset = None
+    combos = itertools.combinations(range(n), c)
+    while True:
+        chunk = list(itertools.islice(combos, 100_000))
+        if not chunk:
+            break
+        zmat = np.ones((len(chunk), n))
+        rows = np.repeat(np.arange(len(chunk)), c)
+        zmat[rows, np.array(chunk).ravel()] = -1.0
+        cuts = 0.25 * (wsum - np.einsum("ai,ij,aj->a", zmat, w, zmat))
+        i = int(np.argmin(cuts))
+        if cuts[i] < best_cut:
+            best_cut = float(cuts[i])
+            best_subset = chunk[i]
+    z = _subset_to_z(n, best_subset)
+    return OracleResult(z=z, cut=cut_size(g, z), optimal=True)
+
+
+def sa_solve(g, c, cfg=SaConfig()):
+    n = g.n
+    w = g.weights
+    deg = g.degrees
+    t0 = float(w.max() * n)
+
+    best_cut = math.inf
+    best_minus = None
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, r])
+        nodes = rng.permutation(n)
+        in_minus = np.zeros(n, dtype=bool)
+        in_minus[nodes[:c]] = True
+        to_minus = w[:, in_minus].sum(axis=1)
+        cut = float(to_minus[~in_minus].sum())
+        if cut < best_cut:
+            best_cut = cut
+            best_minus = nodes[:c].copy()
+
+        ii = rng.integers(0, c, size=cfg.steps)
+        jj = rng.integers(c, n, size=cfg.steps)
+        accept_draw = rng.random(cfg.steps)
+        temp = t0
+        for step in range(cfg.steps):
+            u = nodes[ii[step]]
+            v = nodes[jj[step]]
+            delta = (
+                2.0 * to_minus[u]
+                - deg[u]
+                + deg[v]
+                - 2.0 * to_minus[v]
+                + 2.0 * w[u, v]
+            )
+            if delta <= 0.0 or (temp > 1e-12 and accept_draw[step] < math.exp(-delta / temp)):
+                nodes[ii[step]], nodes[jj[step]] = v, u
+                to_minus += w[:, v] - w[:, u]
+                cut += delta
+                if cut < best_cut - 1e-12:
+                    best_cut = cut
+                    best_minus = nodes[:c].copy()
+            temp *= SA_COOLING
+
+    z = _subset_to_z(n, best_minus)
+    return OracleResult(z=z, cut=cut_size(g, z), optimal=False)

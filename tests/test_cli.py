@@ -256,6 +256,20 @@ def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     assert "\n" not in text
 
 
+@pytest.mark.parametrize("line, key", [
+    ("{}", "artifact_version"), ('{"label": "x"}', "artifact_version"),
+    ('{"artifact_version": "0.2.0", "label": "x", "c": 2}', "role"),
+], ids=["empty", "label-only", "no-outcome"])
+def test_report_refuses_an_object_that_is_no_record(tmp_path, line, key):
+    records = tmp_path / "runs.jsonl"
+    records.write_text('{"error": "RuntimeError: boom", "c": 2}\n' + line + "\n")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("report", "--records", records, "--out", tmp_path)
+    assert str(exc_info.value) == (f"report: {records}, line 2: not a JSON record "
+                                   f"(no key {key!r})")
+    assert list(tmp_path.iterdir()) == [records]
+
+
 @pytest.mark.parametrize("argv", [
     "bench --c-values 2 --reps 1 --records {tmp}/runs.jsonl", "solve --c 2",
 ], ids=["bench", "solve"])

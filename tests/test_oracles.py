@@ -4,8 +4,16 @@ import os
 import numpy as np
 import pytest
 
+import loop_reference
 from conftest import random_graphs
-from pce_mincut.graph import cut_size, generate_complete_graph, graph_hash, partition_count
+from pce_mincut import oracles
+from pce_mincut.graph import (
+    WeightedGraph,
+    cut_size,
+    generate_complete_graph,
+    graph_hash,
+    partition_count,
+)
 from pce_mincut.objective import is_feasible
 from pce_mincut.oracles import (
     SaConfig,
@@ -61,6 +69,84 @@ def test_exhaustive_symmetric_in_complement():
         flipped = -res.z
         assert cut_size(g, flipped) == pytest.approx(res.cut)
         assert min(partition_count(res.z)) == c
+
+
+def _same_answer(got, want):
+    assert got.z.tobytes() == want.z.tobytes()
+    assert got.z.dtype == want.z.dtype
+    assert got.cut == want.cut
+    assert got.optimal == want.optimal
+
+
+REFERENCE_GRAPHS = (
+    [generate_complete_graph(n) for n in range(4, 15)]
+    + [generate_complete_graph(n, weights="uniform", seed=seed, low=0.1, high=1.0)
+       for n in (5, 9, 12, 14) for seed in range(3)]
+    + [generate_complete_graph(n, weights="uniform", seed=seed, drop_prob=0.4)
+       for n in (7, 11, 13) for seed in range(2)]
+)
+
+
+@pytest.mark.parametrize("g", REFERENCE_GRAPHS,
+                         ids=[f"n{g.n}-{graph_hash(g)[:8]}" for g in REFERENCE_GRAPHS])
+def test_exhaustive_matches_loop_reference_at_every_c(g):
+    for c in range(1, g.n // 2 + 1):
+        _same_answer(exhaustive_best(g, c), loop_reference.exhaustive_best(g, c))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(oracles, "EXHAUSTIVE_BLOCK", 3)
+
+
+def test_exhaustive_tie_rule_holds_across_blocks(small_blocks):
+    # unit K8 with c=4: all 70 subsets tie, over 24 blocks of at most 3
+    res = exhaustive_best(generate_complete_graph(8), 4)
+    assert np.flatnonzero(res.z == -1).tolist() == [0, 1, 2, 3]
+    assert res.cut == 16.0
+
+
+def test_exhaustive_finds_an_optimum_in_a_later_block(small_blocks):
+    w = np.ones((8, 8)) - np.eye(8)
+    w[5:, :5] = w[:5, 5:] = 0.1  # {5, 6, 7} is the last of 56 subsets
+    g = WeightedGraph(w)
+    res = exhaustive_best(g, 3)
+    assert np.flatnonzero(res.z == -1).tolist() == [5, 6, 7]
+    _same_answer(res, loop_reference.exhaustive_best(g, 3))
+    uniform = generate_complete_graph(10, weights="uniform", seed=4, low=0.1, high=1.0)
+    for c in range(1, 6):
+        _same_answer(exhaustive_best(uniform, c), loop_reference.exhaustive_best(uniform, c))
+
+
+def test_exhaustive_at_the_largest_n_with_one_block():
+    g = generate_complete_graph(22, weights="uniform", seed=5, low=0.1, high=1.0)
+    assert 22 < oracles.EXHAUSTIVE_BLOCK  # c=1 has 22 subsets
+    _same_answer(exhaustive_best(g, 1), loop_reference.exhaustive_best(g, 1))
+
+
+@pytest.mark.parametrize("n, c, cfg", [
+    (4, 2, SaConfig(seed=0, steps=500, restarts=1)),
+    (6, 3, SaConfig(seed=3, steps=1, restarts=4)),
+    (12, 1, SaConfig(seed=1, steps=2000, restarts=3)),
+    (12, 6, SaConfig(seed=2, steps=2000, restarts=2)),
+    (40, 10, SaConfig(seed=4, steps=1500, restarts=2)),
+    (120, 60, SaConfig(seed=5, steps=400, restarts=2)),
+    (300, 2, SaConfig(seed=6, steps=300, restarts=2)),
+    (300, 150, SaConfig(seed=7, steps=1, restarts=3)),
+    (300, 75, SaConfig(seed=8, steps=300, restarts=1)),
+])
+def test_sa_matches_loop_reference(n, c, cfg):
+    g = generate_complete_graph(n, weights="uniform", seed=n + c, low=0.1, high=1.0)
+    _same_answer(sa_solve(g, c, cfg), loop_reference.sa_solve(g, c, cfg))
+
+
+def test_sa_matches_loop_reference_on_unit_and_sparse_graphs():
+    # past about 6,000 steps the temperature is under 1e-12, and only a swap
+    # with delta <= 0 is accepted; on unit K9 every swap has delta 0
+    for g in (generate_complete_graph(9), generate_complete_graph(16, seed=1, drop_prob=0.5)):
+        for seed in range(3):
+            cfg = SaConfig(seed=seed, steps=8000, restarts=2)
+            _same_answer(sa_solve(g, 3, cfg), loop_reference.sa_solve(g, 3, cfg))
 
 
 def test_sa_k6(k6):
