@@ -307,6 +307,32 @@ def replay_record(record: dict, graph: WeightedGraph | None = None) -> SolveOutc
 # every key of make_record's records; _error_record's need only "error"
 _RUN_RECORD_KEYS = ("artifact_version", "label", "role", "pair_id", "c", "graph",
                     "config", "outcome", "metrics", "wall_time_s")
+# the keys aggregate, write_runs_csv and write_history_csv read inside a record
+_REPORTED_KEYS = (
+    "metrics.feasible", "metrics.binarization", "metrics.baseline_cut",
+    "metrics.normalized_cut", "outcome.final_alpha", "outcome.cut", "outcome.outer_iters",
+    "outcome.inner_evals", "outcome.capped", "config.seed", "config.alpha_mode",
+    "config.objective.alpha",
+)
+
+
+def _missing_key(record: dict) -> str | None:
+    """The first key of a run record that the report reads and the record
+    lacks, dotted below the top level; None if it has them all."""
+    for key in _RUN_RECORD_KEYS + _REPORTED_KEYS:
+        node = record
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                return key
+            node = node[part]
+    history = record["outcome"].get("history") or []
+    if not isinstance(history, list):
+        return "outcome.history"
+    for i, entry in enumerate(history):
+        for field in HISTORY_FIELDS:
+            if not isinstance(entry, dict) or field not in entry:
+                return f"outcome.history[{i}].{field}"
+    return None
 
 
 def read_records(path) -> list[dict]:
@@ -322,9 +348,9 @@ def read_records(path) -> list[dict]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"a JSON {type(record).__name__}, not an object")
-                missing = [key for key in _RUN_RECORD_KEYS if key not in record]
-                if missing and "error" not in record:
-                    raise ValueError(f"no key {missing[0]!r}")
+                missing = None if "error" in record else _missing_key(record)
+                if missing:
+                    raise ValueError(f"no key {missing!r}")
             except ValueError as exc:  # JSONDecodeError is one
                 raise ValueError(f"{path}, line {number}: not a JSON record ({exc})") from exc
             records.append(record)

@@ -94,8 +94,13 @@ def loss(spec: ObjectiveSpec | Sequence[ObjectiveSpec], expectations) -> float |
     floats, the b-th bit-equal to loss(spec[b], expectations[b]): tanh, the
     quadratic form and the sum run over the stack in forms that give each row
     the 1-D call's bits, and the rest is each row's own arithmetic.
+
+    The stack is read C-contiguous, copied if it is not: numpy sums a row
+    pairwise, as it does a 1-D vector, only when the row is contiguous, so a
+    column-major stack (the expectation kernel returns one from m=8 on)
+    would sum its rows in another order than the 1-D call does.
     """
-    e = np.asarray(expectations, dtype=float)
+    e = np.ascontiguousarray(expectations, dtype=float)
     if isinstance(spec, ObjectiveSpec):
         n = spec.graph.n
         if e.shape != (n,):

@@ -12,6 +12,18 @@ its move set swaps one selected node with one unselected node, so every
 visited state satisfies the budget exactly and no penalty term ever enters
 the oracle. Its steps run on Python floats, which round exactly as float64
 does, so a step decides as the same arithmetic on numpy scalars would.
+
+Each restart of sa_solve runs in two phases. While the temperature is above
+1e-12 (the hot phase) every step scores its swap and takes Metropolis's
+rule. From the first step at or below 1e-12 (the cold phase) only a swap
+with delta <= 0 is accepted, and most steps are rejected. The cold phase
+steps one at a time until SA_QUIET steps in a row have been rejected; then
+it scores the swaps of the next SA_BLOCK steps at once against the current
+state, applies the first with delta <= 0, and goes back to single steps.
+A rejected step leaves the state as it was, so each step of a block is
+scored against the state it would have seen alone, and numpy adds the same
+five float64 terms in the same order as a single step does. Every delta,
+decision and cut therefore has the one-step-at-a-time loop's bits.
 """
 
 from __future__ import annotations
@@ -39,6 +51,8 @@ __all__ = [
 EXHAUSTIVE_MAX_NODES = 22
 EXHAUSTIVE_BLOCK = 1 << 14  # subsets scored at once; bounds the working set
 SA_COOLING = 0.995  # temperature factor per annealing step
+SA_QUIET = 32  # cold steps rejected in a row before a block is scored
+SA_BLOCK = 1024  # cold steps scored at once; bounds the block's working set
 
 
 @dataclass(frozen=True)
@@ -124,16 +138,21 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
     """Simulated annealing over size-c subsets; best over restarts.
 
     Metropolis acceptance exp(-delta/T), with T starting at the largest
-    edge weight times n and cooled by SA_COOLING per step.
+    edge weight times n and cooled by SA_COOLING per step. Once T has
+    fallen to 1e-12 only swaps with delta <= 0 are accepted, and the cold
+    phase scores quiet stretches in blocks of SA_BLOCK steps; the answer is
+    that of scoring every step alone (see the module docstring).
     Deterministic for a fixed (graph, c, config); restart r uses the RNG
     stream seeded by (seed, r) and ties across restarts keep the earliest.
     """
     n = g.n
     _check_c(n, c)
     w = g.weights
-    weight = memoryview(w)  # weight[u, v] reads a Python float
-    deg = g.degrees.tolist()
-    t0 = float(w.max() * n)
+    temps = []  # the temperature of each hot step
+    temp = float(w.max() * n)
+    while temp > 1e-12 and len(temps) < cfg.steps:
+        temps.append(temp)
+        temp *= SA_COOLING
 
     best_cut = math.inf
     best_minus: list[int] | None = None
@@ -143,7 +162,6 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
         in_minus = np.zeros(n, dtype=bool)
         in_minus[nodes[:c]] = True
         to_minus = w[:, in_minus].sum(axis=1)  # weight from each node into the -1 side
-        weight_in = memoryview(to_minus)  # follows to_minus, which is updated in place
         cut = float(to_minus[~in_minus].sum())
         if cut < best_cut:
             best_cut = cut
@@ -152,29 +170,86 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
         ii = rng.integers(0, c, size=cfg.steps)
         jj = rng.integers(c, n, size=cfg.steps)
         accept_draw = rng.random(cfg.steps)
-        temp = t0
-        for i, j, draw in zip(memoryview(ii), memoryview(jj), memoryview(accept_draw)):
+        for i, j, delta in _accepted_moves(g, nodes, to_minus, ii, jj, accept_draw, temps):
             u = nodes[i]
             v = nodes[j]
-            delta = (
-                2.0 * weight_in[u]
-                - deg[u]
-                + deg[v]
-                - 2.0 * weight_in[v]
-                + 2.0 * weight[u, v]
-            )
-            if delta <= 0.0 or (temp > 1e-12 and draw < math.exp(-delta / temp)):
-                nodes[i], nodes[j] = v, u
-                to_minus += w[:, v] - w[:, u]
-                cut += delta
-                if cut < best_cut - 1e-12:
-                    best_cut = cut
-                    best_minus = nodes[:c]
-            temp *= SA_COOLING
+            nodes[i], nodes[j] = v, u
+            to_minus += w[:, v] - w[:, u]
+            cut += delta
+            if cut < best_cut - 1e-12:
+                best_cut = cut
+                best_minus = nodes[:c]
 
     z = _subset_to_z(n, best_minus)
     # report the exactly recomputed cut, not the incrementally accumulated one
     return OracleResult(z=z, cut=cut_size(g, z), optimal=False)
+
+
+def _accepted_moves(g, nodes, to_minus, ii, jj, accept_draw, temps):
+    """The accepted swaps (i, j, delta) of one restart, in step order.
+
+    Step k proposes swapping nodes[ii[k]] with nodes[jj[k]]; the caller
+    applies each yielded swap to nodes and to_minus before the next step is
+    scored. The first len(temps) steps are hot; the rest are cold.
+    """
+    w = g.weights
+    weight = memoryview(w)  # weight[u, v] reads a Python float
+    weight_in = memoryview(to_minus)  # follows to_minus, which the caller updates in place
+    deg = g.degrees
+    degree = deg.tolist()
+    pick_i = memoryview(ii)
+    pick_j = memoryview(jj)
+    for i, j, draw, temp in zip(pick_i, pick_j, memoryview(accept_draw), temps):
+        u = nodes[i]
+        v = nodes[j]
+        delta = (2.0 * weight_in[u] - degree[u] + degree[v] - 2.0 * weight_in[v]
+                 + 2.0 * weight[u, v])
+        if delta <= 0.0 or draw < math.exp(-delta / temp):
+            yield i, j, delta
+
+    steps = len(ii)
+    k = len(temps)
+    quiet = 0  # cold steps rejected in a row
+    while k < steps:
+        if quiet < SA_QUIET:
+            i = pick_i[k]
+            j = pick_j[k]
+            k += 1
+            u = nodes[i]
+            v = nodes[j]
+            delta = (2.0 * weight_in[u] - degree[u] + degree[v] - 2.0 * weight_in[v]
+                     + 2.0 * weight[u, v])
+            if delta <= 0.0:
+                quiet = 0
+                yield i, j, delta
+            else:
+                quiet += 1
+            continue
+        end = min(k + SA_BLOCK, steps)
+        hit = _first_downhill(np.array(nodes), ii[k:end], jj[k:end], to_minus, deg, w)
+        if hit is None:
+            k = end
+        else:
+            s, delta = hit
+            k += s + 1
+            quiet = 0
+            yield pick_i[k - 1], pick_j[k - 1], delta
+
+
+def _first_downhill(nodes, ii, jj, to_minus, deg, w):
+    """(s, delta) for the first swap s of a block with delta <= 0, or None.
+
+    nodes is an array copy of the state; each delta adds the single step's
+    terms in the single step's order, so it has that step's bits.
+    """
+    u = nodes[ii]
+    v = nodes[jj]
+    deltas = 2.0 * to_minus[u] - deg[u] + deg[v] - 2.0 * to_minus[v] + 2.0 * w[u, v]
+    downhill = np.flatnonzero(deltas <= 0.0)
+    if downhill.size == 0:
+        return None
+    s = int(downhill[0])
+    return s, float(deltas[s])
 
 
 def normalized_cut(pce_cut: float, baseline_cut: float) -> float:

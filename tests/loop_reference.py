@@ -9,11 +9,13 @@ iteration. All four do the same arithmetic,
 element by element and in the same order, as the vectorized code in the
 package, so the tests require equal bytes, not a tolerance.
 `exhaustive_best` scores `itertools.combinations` tuples in chunks with a
-three-operand einsum, and `sa_solve` steps on numpy scalars; the package
-oracles must return the same assignment bytes and cut. `minimize` can
-also record which Nelder-Mead step each iteration took and which new vertices
-tied with another, so tests can show that their objectives reach every branch
-and every ordering case.
+three-operand einsum, and `sa_solve` steps on numpy scalars, one step at a
+time at every temperature; the package oracles must return the same
+assignment bytes and cut. `sa_solve` can also record each step's decision,
+so tests can check which blocks the package's cold phase scores. `minimize`
+can also record which Nelder-Mead step each iteration took and which new
+vertices tied with another, so tests can show that their objectives reach
+every branch and every ordering case.
 """
 
 import itertools
@@ -256,7 +258,9 @@ def exhaustive_best(g, c):
     return OracleResult(z=z, cut=cut_size(g, z), optimal=True)
 
 
-def sa_solve(g, c, cfg=SaConfig()):
+def sa_solve(g, c, cfg=SaConfig(), trace=None):
+    """Steps on numpy scalars; appends to `trace`, per restart, a list of
+    (cold, accepted) per step, cold once the temperature is at most 1e-12."""
     n = g.n
     w = g.weights
     deg = g.degrees
@@ -279,6 +283,9 @@ def sa_solve(g, c, cfg=SaConfig()):
         jj = rng.integers(c, n, size=cfg.steps)
         accept_draw = rng.random(cfg.steps)
         temp = t0
+        decisions = []
+        if trace is not None:
+            trace.append(decisions)
         for step in range(cfg.steps):
             u = nodes[ii[step]]
             v = nodes[jj[step]]
@@ -289,7 +296,10 @@ def sa_solve(g, c, cfg=SaConfig()):
                 - 2.0 * to_minus[v]
                 + 2.0 * w[u, v]
             )
-            if delta <= 0.0 or (temp > 1e-12 and accept_draw[step] < math.exp(-delta / temp)):
+            accepted = delta <= 0.0 or (
+                temp > 1e-12 and accept_draw[step] < math.exp(-delta / temp))
+            decisions.append((not temp > 1e-12, accepted))
+            if accepted:
                 nodes[ii[step]], nodes[jj[step]] = v, u
                 to_minus += w[:, v] - w[:, u]
                 cut += delta

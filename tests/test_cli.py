@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,9 @@ from pce_mincut.cli import _apply_config, _plan_from_args, build_parser, main
 from pce_mincut.graph import read_graph
 from pce_mincut.harness import SolverSpec
 from pce_mincut.optimize import OptimizerConfig
+
+
+RECORDS_V0_2_0 = Path(__file__).parent / "data" / "records_v0_2_0.jsonl"
 
 
 def run_cli(*args):
@@ -259,13 +263,37 @@ def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
 @pytest.mark.parametrize("line, key", [
     ("{}", "artifact_version"), ('{"label": "x"}', "artifact_version"),
     ('{"artifact_version": "0.2.0", "label": "x", "c": 2}', "role"),
-], ids=["empty", "label-only", "no-outcome"])
+    ('{"artifact_version": "0.2.0", "label": "x", "role": "single", "pair_id": null, "c": 2, '
+     '"graph": {}, "config": {}, "outcome": {}, "metrics": {}, "wall_time_s": 0}',
+     "metrics.feasible"),
+], ids=["empty", "label-only", "no-outcome", "empty-sections"])
 def test_report_refuses_an_object_that_is_no_record(tmp_path, line, key):
     records = tmp_path / "runs.jsonl"
     records.write_text('{"error": "RuntimeError: boom", "c": 2}\n' + line + "\n")
     with pytest.raises(SystemExit) as exc_info:
         run_cli("report", "--records", records, "--out", tmp_path)
     assert str(exc_info.value) == (f"report: {records}, line 2: not a JSON record "
+                                   f"(no key {key!r})")
+    assert list(tmp_path.iterdir()) == [records]
+
+
+@pytest.mark.parametrize("path, key", [
+    (("metrics", "normalized_cut"), "metrics.normalized_cut"),
+    (("outcome", "capped"), "outcome.capped"),
+    (("config", "objective", "alpha"), "config.objective.alpha"),
+    (("outcome", "history", 1, "minus_count"), "outcome.history[1].minus_count"),
+])
+def test_report_refuses_a_record_without_a_key_it_reads(tmp_path, path, key):
+    records = tmp_path / "runs.jsonl"
+    record = json.loads(RECORDS_V0_2_0.read_text().splitlines()[0])
+    node = record
+    for part in path[:-1]:
+        node = node[part]
+    del node[path[-1]]
+    records.write_text(json.dumps(record) + "\n")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("report", "--records", records, "--out", tmp_path)
+    assert str(exc_info.value) == (f"report: {records}, line 1: not a JSON record "
                                    f"(no key {key!r})")
     assert list(tmp_path.iterdir()) == [records]
 

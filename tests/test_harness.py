@@ -299,6 +299,20 @@ def test_committed_split_records_are_what_small_plan_writes():
         "prepare=split;kernel=perm", "prepare=split;kernel=wht"]
 
 
+def test_a_lockstep_plan_at_m8_replays_every_record():
+    # three cells share each stacked call, and from m=8 the kernel returns
+    # its stack in column-major order
+    plan = small_plan(graph=GraphSource(kind="generate", n=150), c_values=(30,),
+                      repetitions=3, baseline_method="sa",
+                      solvers=(SolverSpec(label="fixed", mode="fixed", alpha=3.0,
+                                          optimizer=OptimizerConfig(max_evals=300)),))
+    records, report = run_plan(plan)
+    assert not report.failures and len(records) == 3
+    assert {r["config"]["encoding"]["m"] for r in records} == {8}
+    for rec in records:
+        assert outcome_to_dict(replay_record(rec)) == rec["outcome"]
+
+
 def test_replay_refuses_a_v0_1_0_record_whose_path_moved():
     # n in [51, 105] puts the register at m=7, which 0.1.0 prepared on the
     # kron path and this code prepares on the split path

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import loop_reference
 from conftest import random_graphs
-from pce_mincut.encoding import EncodingSpec, minimal_qubits
+from pce_mincut.encoding import EncodingSpec, enumerate_strings, minimal_qubits
 from pce_mincut.graph import cut_size, generate_complete_graph
 from pce_mincut.objective import (
     ObjectiveSpec,
@@ -22,6 +22,7 @@ from pce_mincut.objective import (
     regularization,
     soft_values,
 )
+from pce_mincut.quantum import ExpectationKernel, parameter_count, prepare_state
 
 
 def spec_for(graph, c, alpha, beta=None, eta=0.0):
@@ -210,6 +211,22 @@ def test_stacked_loss_matches_the_1d_reference_bit_for_bit(n, rows):
         want = [loop_reference.loss(s, row).hex() for s, row in zip(specs, e)]
         assert [v.hex() for v in loss(specs, e)] == want
         assert [loss(s, row).hex() for s, row in zip(specs, e)] == want
+
+
+@pytest.mark.parametrize("n, m", [(150, 8), (300, 9)])
+def test_stacked_loss_over_the_kernels_stack_matches_1d_calls(n, m):
+    # from m=8 the kernel returns its (B, n) stack in column-major order
+    g = generate_complete_graph(n, weights="uniform", seed=n, low=0.1, high=1.0)
+    enc = EncodingSpec("full_xyz", m=minimal_qubits("full_xyz", 4, n), n_vars=n, k=4)
+    assert enc.m == m
+    kernel = ExpectationKernel(enumerate_strings(enc))
+    rng = np.random.default_rng(m)
+    thetas = rng.uniform(-np.pi, np.pi, (54, parameter_count(m)))
+    specs = [ObjectiveSpec(graph=g, encoding=enc, alpha=float(a), c=n // 5)
+             for a in rng.uniform(1.0, 10.0, len(thetas))]
+    stacked = loss(specs, kernel(prepare_state(m, thetas)))
+    want = [loss(s, kernel(prepare_state(m, theta))) for s, theta in zip(specs, thetas)]
+    assert [v.hex() for v in stacked] == [v.hex() for v in want]
 
 
 def test_stacked_loss_refuses_a_wrong_shape_and_two_graphs():

@@ -149,6 +149,112 @@ def test_sa_matches_loop_reference_on_unit_and_sparse_graphs():
             _same_answer(sa_solve(g, 3, cfg), loop_reference.sa_solve(g, 3, cfg))
 
 
+def _hot_steps(g):
+    """The steps before the temperature first falls to 1e-12 or below."""
+    temp, steps = float(g.weights.max() * g.n), 0
+    while temp > 1e-12:
+        temp *= oracles.SA_COOLING
+        steps += 1
+    return steps
+
+
+COLD_GRAPHS = (
+    [generate_complete_graph(n, weights="uniform", seed=n, low=0.1, high=1.0)
+     for n in (12, 40, 100)]
+    + [generate_complete_graph(n, weights="uniform", seed=n + 1, drop_prob=0.4)
+       for n in (12, 40, 100)]
+)
+
+
+@pytest.mark.parametrize("g", COLD_GRAPHS,
+                         ids=[f"n{g.n}-{graph_hash(g)[:8]}" for g in COLD_GRAPHS])
+def test_sa_cold_phase_matches_loop_reference(g):
+    # the default 20,000 steps: about 14,000 of them are cold
+    for c in (1, g.n // 4, g.n // 2):
+        cfg = SaConfig(seed=c, restarts=3)
+        _same_answer(sa_solve(g, c, cfg), loop_reference.sa_solve(g, c, cfg))
+
+
+def test_sa_cold_phase_matches_loop_reference_on_unit_graphs():
+    # every swap on unit K_n has delta 0, so every cold step is accepted
+    for n in (6, 13):
+        g = generate_complete_graph(n)
+        cfg = SaConfig(seed=n, restarts=2)
+        _same_answer(sa_solve(g, n // 2, cfg), loop_reference.sa_solve(g, n // 2, cfg))
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, oracles.SA_QUIET, oracles.SA_QUIET + 1,
+                                   oracles.SA_QUIET + oracles.SA_BLOCK,
+                                   oracles.SA_QUIET + 2 * oracles.SA_BLOCK + 37])
+def test_sa_steps_around_the_start_of_the_cold_phase(extra):
+    g = generate_complete_graph(30, weights="uniform", seed=3, low=0.1, high=1.0)
+    cfg = SaConfig(seed=extra, steps=_hot_steps(g) + extra, restarts=3)
+    _same_answer(sa_solve(g, 7, cfg), loop_reference.sa_solve(g, 7, cfg))
+
+
+def test_sa_on_a_zero_weight_graph_starts_cold():
+    g = WeightedGraph(np.zeros((9, 9)))
+    assert _hot_steps(g) == 0
+    for cfg in (SaConfig(seed=1, steps=1), SaConfig(seed=2, steps=3000, restarts=2)):
+        res = sa_solve(g, 4, cfg)
+        _same_answer(res, loop_reference.sa_solve(g, 4, cfg))
+        assert res.cut == 0.0
+
+
+def _blocks_of(decisions):
+    """(size, first accepted step or None) of each block the cold phase
+    scores, from one restart's (cold, accepted) decisions."""
+    steps = len(decisions)
+    k = next((step for step, (cold, _) in enumerate(decisions) if cold), steps)
+    quiet = 0
+    blocks = []
+    while k < steps:
+        if quiet < oracles.SA_QUIET:
+            quiet = 0 if decisions[k][1] else quiet + 1
+            k += 1
+            continue
+        size = min(oracles.SA_BLOCK, steps - k)
+        hit = next((s for s in range(size) if decisions[k + s][1]), None)
+        blocks.append((size, hit))
+        if hit is None:
+            k += size
+        else:
+            k += hit + 1
+            quiet = 0
+    return blocks
+
+
+@pytest.mark.parametrize("quiet, block", [(32, 1024), (3, 5), (1, 1)])
+@pytest.mark.parametrize("g", [
+    generate_complete_graph(100, weights="uniform", seed=4, low=0.1, high=1.0),
+    generate_complete_graph(150, weights="uniform", seed=5, drop_prob=0.4),
+    generate_complete_graph(9),
+], ids=["uniform", "sparse", "unit"])
+def test_sa_scores_a_block_after_each_quiet_run_of_cold_steps(g, quiet, block, monkeypatch):
+    # at n=100 and n=150 some downhill swaps are left when the cold phase
+    # starts, so some blocks find one and others do not
+    monkeypatch.setattr(oracles, "SA_QUIET", quiet)
+    monkeypatch.setattr(oracles, "SA_BLOCK", block)
+    first_downhill = oracles._first_downhill
+    scored = []
+
+    def spy(nodes, ii, *args):
+        hit = first_downhill(nodes, ii, *args)
+        scored.append((len(ii), None if hit is None else hit[0]))
+        return hit
+
+    monkeypatch.setattr(oracles, "_first_downhill", spy)
+    cfg = SaConfig(seed=1, steps=12_000, restarts=2)
+    trace = []
+    _same_answer(sa_solve(g, g.n // 3, cfg), loop_reference.sa_solve(g, g.n // 3, cfg, trace))
+    assert scored == [b for decisions in trace for b in _blocks_of(decisions)]
+    if g.n == 9:
+        assert not scored  # on unit K9 every cold step is accepted
+    else:
+        assert None in [hit for _, hit in scored]
+        assert any(hit is not None for _, hit in scored)
+
+
 def test_sa_k6(k6):
     res = sa_solve(k6, 3, SaConfig(seed=0))
     assert res.cut == 9.0
