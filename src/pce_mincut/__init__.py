@@ -13,7 +13,7 @@ from .harness import ExperimentPlan, GraphSource, SolverSpec, metric_epsilon_c, 
 from .objective import ObjectiveSpec, beta_c, binarization, decode, is_feasible, loss, plateau_width, soft_values
 from .optimize import OptimizerConfig, OptimizeResult, minimize, random_init
 from .oracles import OracleResult, SaConfig, exhaustive_best, normalized_cut, sa_solve
-from .quantum import expectation, expectations, parameter_count, prepare_state
+from .quantum import parameter_count, prepare_state
 from .solver import PceConfig, SolveOutcome, default_config, next_alpha, solve, solve_pce_at_final_alpha
 
 __version__ = "0.1.0"

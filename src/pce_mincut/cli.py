@@ -121,6 +121,9 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     """
     if getattr(args, "config", None):
         overrides = json.loads(Path(args.config).read_text())
+        if not isinstance(overrides, dict):
+            raise SystemExit(f"{args.config}: holds a {type(overrides).__name__}, "
+                             "not a JSON object")
         flags = _subcommand_flags(args.command)
         # every flag of the subcommand has a default in args, and so has the
         # config-only key `solvers` of bench

@@ -48,6 +48,8 @@ __all__ = [
     "ExperimentPlan",
     "AggregateReport",
     "metric_epsilon_c",
+    "RUN_COLUMNS",
+    "run_row",
     "run_plan",
     "aggregate",
     "emit_report",
@@ -307,32 +309,32 @@ def replay_record(record: dict, graph: WeightedGraph | None = None) -> SolveOutc
 # every key of make_record's records; _error_record's need only "error"
 _RUN_RECORD_KEYS = ("artifact_version", "label", "role", "pair_id", "c", "graph",
                     "config", "outcome", "metrics", "wall_time_s")
-# the keys aggregate, write_runs_csv and write_history_csv read inside a record
-_REPORTED_KEYS = (
-    "metrics.feasible", "metrics.binarization", "metrics.baseline_cut",
-    "metrics.normalized_cut", "outcome.final_alpha", "outcome.cut", "outcome.outer_iters",
-    "outcome.inner_evals", "outcome.capped", "config.seed", "config.alpha_mode",
-    "config.objective.alpha",
+# runs.csv's columns and the record keys they hold: with pair_id and
+# outcome.history, every key of a run record that the report reads
+RUN_COLUMNS = (
+    ("nodes", "graph.nodes"), ("graph_hash", "graph.hash"), ("label", "label"),
+    ("role", "role"), ("c", "c"), ("seed", "config.seed"),
+    ("alpha_mode", "config.alpha_mode"), ("alpha", "config.objective.alpha"),
+    ("final_alpha", "outcome.final_alpha"), ("feasible", "metrics.feasible"),
+    ("binarization", "metrics.binarization"), ("cut", "outcome.cut"),
+    ("baseline_cut", "metrics.baseline_cut"), ("normalized_cut", "metrics.normalized_cut"),
+    ("outer_iters", "outcome.outer_iters"), ("inner_evals", "outcome.inner_evals"),
+    ("capped", "outcome.capped"), ("wall_time_s", "wall_time_s"),
 )
 
 
-def _missing_key(record: dict) -> str | None:
-    """The first key of a run record that the report reads and the record
-    lacks, dotted below the top level; None if it has them all."""
-    for key in _RUN_RECORD_KEYS + _REPORTED_KEYS:
+def run_row(record: dict) -> dict:
+    """A run record's runs.csv row; ValueError naming the first key of
+    RUN_COLUMNS that the record lacks, or whose parent is not an object."""
+    row = {}
+    for column, key in RUN_COLUMNS:
         node = record
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
-                return key
+                raise ValueError(f"no key {key!r}")
             node = node[part]
-    history = record["outcome"].get("history") or []
-    if not isinstance(history, list):
-        return "outcome.history"
-    for i, entry in enumerate(history):
-        for field in HISTORY_FIELDS:
-            if not isinstance(entry, dict) or field not in entry:
-                return f"outcome.history[{i}].{field}"
-    return None
+        row[column] = node
+    return row
 
 
 def read_records(path) -> list[dict]:
@@ -348,13 +350,27 @@ def read_records(path) -> list[dict]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"a JSON {type(record).__name__}, not an object")
-                missing = None if "error" in record else _missing_key(record)
-                if missing:
-                    raise ValueError(f"no key {missing!r}")
+                if "error" not in record:
+                    _check_run_record(record)
             except ValueError as exc:  # JSONDecodeError is one
                 raise ValueError(f"{path}, line {number}: not a JSON record ({exc})") from exc
             records.append(record)
     return records
+
+
+def _check_run_record(record: dict) -> None:
+    """ValueError naming the first key the report reads that record lacks."""
+    missing = [key for key in _RUN_RECORD_KEYS if key not in record]
+    if missing:
+        raise ValueError(f"no key {missing[0]!r}")
+    run_row(record)
+    history = record["outcome"].get("history") or []
+    if not isinstance(history, list):
+        raise ValueError("no key 'outcome.history'")
+    for i, entry in enumerate(history):
+        for name in HISTORY_FIELDS:
+            if not isinstance(entry, dict) or name not in entry:
+                raise ValueError(f"no key 'outcome.history[{i}].{name}'")
 
 
 # --- plan execution ----------------------------------------------------------
@@ -554,94 +570,49 @@ def aggregate(records: list[dict]) -> AggregateReport:
     Cut-size aggregates use feasible runs only; a group with no feasible run
     reports its cut as absent.
     """
-    report = AggregateReport()
-    good = [r for r in records if "error" not in r]
-    report.failures = [r for r in records if "error" in r]
-
-    groups: dict[tuple, list[dict]] = {}
-    for rec in good:
-        key = (rec["graph"].get("nodes"), rec["graph"].get("hash", ""), rec["label"])
-        groups.setdefault(key, []).append(rec)
-
-    for (nodes, ghash, label), recs in sorted(groups.items(), key=lambda kv: kv[0][:2] + (kv[0][2],)):
-        feasible = [r for r in recs if r["metrics"]["feasible"]]
-        iterative = [r for r in recs if r["config"]["alpha_mode"] == "iterative"]
-        report.rows.append(
-            ReportRow(
-                nodes=nodes,
-                graph_hash=ghash,
-                solver=label,
-                runs=len(recs),
-                epsilon_c=metric_epsilon_c(recs),
-                mean_binarization=_mean(r["metrics"]["binarization"] for r in recs),
-                mean_normalized_cut=_mean(
-                    r["metrics"]["normalized_cut"] for r in feasible
-                ),
-                mean_outer_iters=_mean(
-                    r["outcome"]["outer_iters"] for r in iterative
-                ),
-                mean_final_alpha=_mean(
-                    r["outcome"]["final_alpha"] for r in iterative
-                ),
-            )
-        )
-
-    # paired contingency per (graph, iterative solver label)
-    pairs: dict[tuple, dict[str, dict]] = {}
-    for rec in good:
-        if rec.get("pair_id") is None:
+    report = AggregateReport(failures=[r for r in records if "error" in r])
+    groups: dict[tuple, list[tuple[dict, dict]]] = {}
+    pairs: dict[tuple, dict[str, dict[str, dict]]] = {}  # by (graph, iterative label)
+    for rec in records:
+        if "error" in rec:
             continue
-        base_label = rec["label"].removesuffix("-control")
-        key = (rec["graph"].get("nodes"), rec["graph"].get("hash", ""),
-               base_label, rec["pair_id"])
-        pairs.setdefault(key, {})[rec["role"]] = rec
+        row = run_row(rec)
+        graph_key = (row["nodes"], row["graph_hash"])
+        groups.setdefault(graph_key + (row["label"],), []).append((rec, row))
+        if rec.get("pair_id") is not None:
+            solver_key = graph_key + (row["label"].removesuffix("-control"),)
+            pairs.setdefault(solver_key, {}).setdefault(rec["pair_id"], {})[row["role"]] = row
 
-    by_solver: dict[tuple, list[dict[str, dict]]] = {}
-    for (nodes, ghash, label, _pid), sides in sorted(pairs.items()):
-        by_solver.setdefault((nodes, ghash, label), []).append(sides)
+    for (nodes, ghash, label), members in sorted(groups.items()):
+        recs, rows = zip(*members)
+        feasible = [r for r in rows if r["feasible"]]
+        iterative = [r for r in rows if r["alpha_mode"] == "iterative"]
+        report.rows.append(ReportRow(
+            nodes, ghash, label, runs=len(rows), epsilon_c=metric_epsilon_c(recs),
+            mean_binarization=_mean(r["binarization"] for r in rows),
+            mean_normalized_cut=_mean(r["normalized_cut"] for r in feasible),
+            mean_outer_iters=_mean(r["outer_iters"] for r in iterative),
+            mean_final_alpha=_mean(r["final_alpha"] for r in iterative),
+        ))
 
-    for (nodes, ghash, label), pair_list in by_solver.items():
-        complete = [p for p in pair_list if "iterative" in p and "control" in p]
+    for (nodes, ghash, label), by_pair_id in sorted(pairs.items()):
+        complete = [sides for _, sides in sorted(by_pair_id.items())
+                    if "iterative" in sides and "control" in sides]
         if not complete:
             continue
-        n_pairs = len(complete)
-        flags = [
-            (p["iterative"]["metrics"]["feasible"], p["control"]["metrics"]["feasible"])
-            for p in complete
-        ]
-        count = lambda it, ct: sum(1 for a, b in flags if a == it and b == ct)
-        report.contingency.append(
-            ContingencyRow(
-                nodes=nodes,
-                graph_hash=ghash,
-                solver=label,
-                pairs=n_pairs,
-                both_pct=100.0 * count(True, True) / n_pairs,
-                iter_only_pct=100.0 * count(True, False) / n_pairs,
-                control_only_pct=100.0 * count(False, True) / n_pairs,
-                neither_pct=100.0 * count(False, False) / n_pairs,
-            )
-        )
-        matched = [
-            p for p in complete
-            if p["iterative"]["metrics"]["feasible"] and p["control"]["metrics"]["feasible"]
-        ]
-        it_cut = _mean(p["iterative"]["metrics"]["normalized_cut"] for p in matched)
-        ct_cut = _mean(p["control"]["metrics"]["normalized_cut"] for p in matched)
+        flags = [(p["iterative"]["feasible"], p["control"]["feasible"]) for p in complete]
+        # both feasible, iterative only, control only, neither
+        pcts = [100.0 * flags.count(combo) / len(complete)
+                for combo in ((True, True), (True, False), (False, True), (False, False))]
+        report.contingency.append(ContingencyRow(nodes, ghash, label, len(complete), *pcts))
+        matched = [p for p in complete if p["iterative"]["feasible"] and p["control"]["feasible"]]
+        it_cut = _mean(p["iterative"]["normalized_cut"] for p in matched)
+        ct_cut = _mean(p["control"]["normalized_cut"] for p in matched)
         delta = None
         if it_cut is not None and ct_cut not in (None, 0.0):
             delta = 100.0 * (it_cut - ct_cut) / ct_cut
         report.paired_cuts.append(
-            PairedCutRow(
-                nodes=nodes,
-                graph_hash=ghash,
-                solver=label,
-                matched_pairs=len(matched),
-                iterative_cut=it_cut,
-                control_cut=ct_cut,
-                delta_pct=delta,
-            )
-        )
+            PairedCutRow(nodes, ghash, label, len(matched), it_cut, ct_cut, delta))
     return report
 
 
@@ -725,57 +696,22 @@ def render_markdown(report: AggregateReport) -> str:
 
 def write_runs_csv(records: list[dict], path) -> None:
     """One observation per row, for plotting sweeps without reparsing JSON."""
-    fields = [
-        "nodes", "graph_hash", "label", "role", "c", "seed", "alpha_mode",
-        "alpha", "final_alpha", "feasible", "binarization", "cut",
-        "baseline_cut", "normalized_cut", "outer_iters", "inner_evals",
-        "capped", "wall_time_s",
-    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=[column for column, _ in RUN_COLUMNS])
         writer.writeheader()
-        for rec in records:
-            if "error" in rec:
-                continue
-            writer.writerow(
-                {
-                    "nodes": rec["graph"].get("nodes"),
-                    "graph_hash": rec["graph"].get("hash"),
-                    "label": rec["label"],
-                    "role": rec["role"],
-                    "c": rec["c"],
-                    "seed": rec["config"]["seed"],
-                    "alpha_mode": rec["config"]["alpha_mode"],
-                    "alpha": rec["config"]["objective"]["alpha"],
-                    "final_alpha": rec["outcome"]["final_alpha"],
-                    "feasible": rec["metrics"]["feasible"],
-                    "binarization": rec["metrics"]["binarization"],
-                    "cut": rec["outcome"]["cut"],
-                    "baseline_cut": rec["metrics"]["baseline_cut"],
-                    "normalized_cut": rec["metrics"]["normalized_cut"],
-                    "outer_iters": rec["outcome"]["outer_iters"],
-                    "inner_evals": rec["outcome"]["inner_evals"],
-                    "capped": rec["outcome"]["capped"],
-                    "wall_time_s": rec["wall_time_s"],
-                }
-            )
+        writer.writerows(run_row(rec) for rec in records if "error" not in rec)
 
 
 def write_history_csv(records: list[dict], path) -> None:
     """Flatten per-iteration histories; one (run, iteration) pair per row."""
-    fields = ["label", "c", "seed"] + list(HISTORY_FIELDS)
+    run_fields = ("label", "c", "seed")
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=run_fields + HISTORY_FIELDS)
         writer.writeheader()
         for rec in records:
             if "error" in rec or not rec["outcome"].get("history"):
                 continue
+            row = run_row(rec)
             for h in rec["outcome"]["history"]:
-                writer.writerow(
-                    {
-                        "label": rec["label"],
-                        "c": rec["c"],
-                        "seed": rec["config"]["seed"],
-                        **{k: h[k] for k in HISTORY_FIELDS},
-                    }
-                )
+                writer.writerow({**{k: row[k] for k in run_fields},
+                                 **{k: h[k] for k in HISTORY_FIELDS}})

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -302,7 +303,7 @@ def baseline_cut(
         if path.exists():
             cache = _read_cache(path)
             if key in cache:
-                return float(cache[key])
+                return _cached_cut(path, key, cache[key])
 
     if method == "exhaustive":
         value = exhaustive_best(g, c).cut
@@ -323,6 +324,16 @@ def _read_cache(path: Path) -> dict:
     if not isinstance(cache, dict):
         raise ValueError(f"baseline cache {path} holds a {type(cache).__name__}, not a JSON object")
     return cache
+
+
+def _cached_cut(path: Path, key: str, value) -> float:
+    """A cache hit as a cut; ValueError naming the file and key unless it is a
+    finite number >= 0 (a bool is no number here)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= sys.float_info.max):  # NaN fails each comparison
+        raise ValueError(f"baseline cache {path} holds {value!r} at {key!r}; "
+                         "a cut must be a finite number >= 0")
+    return float(value)
 
 
 def _write_atomically(path: Path, text: str) -> None:

@@ -34,8 +34,6 @@ import numpy as np
 __all__ = [
     "parameter_count",
     "prepare_state",
-    "expectation",
-    "expectations",
     "ExpectationKernel",
     "numerics",
 ]
@@ -147,13 +145,6 @@ def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
     return psi
 
 
-def _num_qubits(state: np.ndarray) -> int:
-    m = int(np.log2(state.shape[0]))
-    if 2**m != state.shape[0]:
-        raise ValueError(f"state length {state.shape[0]} is not a power of 2")
-    return m
-
-
 @lru_cache(maxsize=4096)
 def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """(index permutation, diagonal phase) such that (P psi)[b] = phase[b] * psi[perm[b]]."""
@@ -188,21 +179,6 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     perm.setflags(write=False)
     phase.setflags(write=False)
     return perm, phase
-
-
-def expectation(state: np.ndarray, letters: str) -> float:
-    """<state| P |state> for one Pauli string, given as its letters."""
-    m = _num_qubits(state)
-    if len(letters) != m:
-        raise ValueError(f"string {letters!r} acts on {len(letters)} qubits, state has {m}")
-    perm, phase = _pauli_action(letters)
-    val = np.vdot(state, phase * state[perm])
-    return float(val.real)
-
-
-def expectations(state: np.ndarray, strings) -> np.ndarray:
-    """Expectation of each string; element i matches expectation(state, strings[i])."""
-    return np.array([expectation(state, p) for p in strings])
 
 
 # Registers from this size on run the Walsh-Hadamard kernel, smaller ones the

@@ -6,7 +6,7 @@ import pytest
 import pce_mincut.solver as solver_mod
 from pce_mincut.cli import _apply_config, _plan_from_args, build_parser, main
 from pce_mincut.graph import read_graph
-from pce_mincut.harness import SolverSpec
+from pce_mincut.harness import RUN_COLUMNS, SolverSpec
 from pce_mincut.optimize import OptimizerConfig
 
 
@@ -248,10 +248,14 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
     ("bench --n 4 --reps 1 --cache {tmp}/cache.json",
      "bench: baseline cache {tmp}/cache.json is not valid JSON"),
     ("report --records {tmp}/missing.jsonl", "report: [Errno 2] No such file or directory"),
-], ids=["bench-graph-file", "solve-graph-file", "c-values", "baseline-c", "cache", "records"])
+    ("report --records {tmp}/missing.jsonl --config {tmp}/list.json",
+     "{tmp}/list.json: holds a list, not a JSON object"),
+], ids=["bench-graph-file", "solve-graph-file", "c-values", "baseline-c", "cache", "records",
+        "config-list"])
 def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.txt").write_text("0 1 1.0\n1 x 2.0\n")
     (tmp_path / "cache.json").write_text("not json\n")
+    (tmp_path / "list.json").write_text("[1, 2]\n")
     run_cli("generate", "--n", 4, "--out", tmp_path / "k4.json")
     with pytest.raises(SystemExit) as exc_info:
         run_cli(*argv.format(tmp=tmp_path).split())
@@ -265,8 +269,11 @@ def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     ('{"artifact_version": "0.2.0", "label": "x", "c": 2}', "role"),
     ('{"artifact_version": "0.2.0", "label": "x", "role": "single", "pair_id": null, "c": 2, '
      '"graph": {}, "config": {}, "outcome": {}, "metrics": {}, "wall_time_s": 0}',
-     "metrics.feasible"),
-], ids=["empty", "label-only", "no-outcome", "empty-sections"])
+     "graph.nodes"),
+    ('{"artifact_version": "0.2.0", "label": "x", "role": "single", "pair_id": null, "c": 2, '
+     '"graph": [], "config": {}, "outcome": {}, "metrics": {}, "wall_time_s": 0}',
+     "graph.nodes"),
+], ids=["empty", "label-only", "no-outcome", "empty-sections", "graph-list"])
 def test_report_refuses_an_object_that_is_no_record(tmp_path, line, key):
     records = tmp_path / "runs.jsonl"
     records.write_text('{"error": "RuntimeError: boom", "c": 2}\n' + line + "\n")
@@ -277,19 +284,17 @@ def test_report_refuses_an_object_that_is_no_record(tmp_path, line, key):
     assert list(tmp_path.iterdir()) == [records]
 
 
-@pytest.mark.parametrize("path, key", [
-    (("metrics", "normalized_cut"), "metrics.normalized_cut"),
-    (("outcome", "capped"), "outcome.capped"),
-    (("config", "objective", "alpha"), "config.objective.alpha"),
-    (("outcome", "history", 1, "minus_count"), "outcome.history[1].minus_count"),
-])
-def test_report_refuses_a_record_without_a_key_it_reads(tmp_path, path, key):
+@pytest.mark.parametrize("key", [key for _, key in RUN_COLUMNS]
+                         + ["pair_id", "outcome.history[1].minus_count"])
+def test_report_refuses_a_record_without_a_key_it_reads(tmp_path, key):
     records = tmp_path / "runs.jsonl"
     record = json.loads(RECORDS_V0_2_0.read_text().splitlines()[0])
+    *parents, last = [int(part) if part.isdigit() else part
+                      for part in key.replace("[", ".").replace("]", "").split(".")]
     node = record
-    for part in path[:-1]:
+    for part in parents:
         node = node[part]
-    del node[path[-1]]
+    del node[last]
     records.write_text(json.dumps(record) + "\n")
     with pytest.raises(SystemExit) as exc_info:
         run_cli("report", "--records", records, "--out", tmp_path)

@@ -50,8 +50,10 @@ EXIT_RECORDS = Path(__file__).parent / "data" / "records_exits_v0_2_0.jsonl"
 # one fixed run each at m=7 (n=60) and m=8 (n=110), which prepare their
 # states on the split path; written by SPLIT_PLANS
 SPLIT_RECORDS = Path(__file__).parent / "data" / "records_split_v0_2_0.jsonl"
-# report.json of the records of V0_2_0_RECORDS and EXIT_RECORDS together
-REPORT_JSON = Path(__file__).parent / "data" / "report_v0_2_0.json"
+# the report files of the records of V0_2_0_RECORDS and EXIT_RECORDS together,
+# each committed as tests/data/<stem>_v0_2_0<suffix>
+REPORT_FILES = ("report.md", "report.json", "report_rows.csv", "report_contingency.csv",
+                "report_paired.csv", "runs.csv", "history.csv")
 
 
 def small_plan(**overrides):
@@ -162,6 +164,7 @@ def test_cut_aggregates_exclude_infeasible():
                             "final_alpha": 1.0, "capped": False},
                 "metrics": {"feasible": feasible, "binarization": 1.0,
                             "baseline_cut": 1.0, "normalized_cut": ncut},
+                "wall_time_s": 0.0,
             }
         )
     report = aggregate(records)
@@ -187,10 +190,12 @@ def test_emit_report_formats(tmp_path, plan_results):
     assert md.count("| x | x |") == 1
 
 
-def test_emit_report_writes_the_committed_report_json(tmp_path):
+@pytest.mark.parametrize("name", REPORT_FILES)
+def test_emit_report_writes_the_committed_report_json(tmp_path, name):
     records = read_records(V0_2_0_RECORDS) + read_records(EXIT_RECORDS)
     emit_report(records, aggregate(records), tmp_path)
-    assert (tmp_path / "report.json").read_bytes() == REPORT_JSON.read_bytes()
+    committed = Path(__file__).parent / "data" / f"{Path(name).stem}_v0_2_0{Path(name).suffix}"
+    assert (tmp_path / name).read_bytes() == committed.read_bytes()
 
 
 def test_runs_and_history_csv(tmp_path, plan_results):

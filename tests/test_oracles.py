@@ -353,5 +353,31 @@ def test_cache_that_is_not_an_object_names_its_file(tmp_path, k6):
     assert cache.read_text() == "[9.0]\n"
 
 
+def _cache_holding(tmp_path, k6, value: str):
+    """A cache whose one entry, for (k6, c=3, exhaustive), holds the JSON text value."""
+    cache = tmp_path / "baselines.json"
+    baseline_cut(k6, 3, method="exhaustive", cache_path=cache)
+    (key,) = json.loads(cache.read_text())
+    cache.write_text(f'{{"{key}": {value}}}\n')
+    return cache, key
+
+
+@pytest.mark.parametrize("value", ["[1]", "null", "NaN", "Infinity", '"4"', "-1", "true"])
+def test_cache_entry_that_is_no_cut_names_its_file_and_key(tmp_path, k6, value):
+    cache, key = _cache_holding(tmp_path, k6, value)
+    text = cache.read_text()
+    with pytest.raises(ValueError, match="baselines.json") as info:
+        baseline_cut(k6, 3, method="exhaustive", cache_path=cache)
+    assert repr(key) in str(info.value)
+    assert cache.read_text() == text
+
+
+@pytest.mark.parametrize("value, cut", [("4", 4.0), ("4.5", 4.5), ("0", 0.0)])
+def test_cache_entry_that_is_a_cut_is_read_as_a_float(tmp_path, k6, value, cut):
+    cache, _ = _cache_holding(tmp_path, k6, value)
+    got = baseline_cut(k6, 3, method="exhaustive", cache_path=cache)
+    assert type(got) is float and got == cut
+
+
 def test_baseline_auto_uses_exhaustive(k6):
     assert baseline_cut(k6, 2, method="auto") == 8.0

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 import loop_reference
-from dense_reference import dense_expectation, dense_prepare
+from dense_reference import dense_expectation, dense_prepare, pauli_matrix
 from pce_mincut import quantum
 from pce_mincut.encoding import EncodingSpec, capacity, enumerate_strings
 from pce_mincut.quantum import (
     _WHT_MIN_QUBITS,
     ExpectationKernel,
-    expectation,
-    expectations,
     numerics,
     parameter_count,
     prepare_state,
@@ -85,40 +83,41 @@ def test_norm_preserved(m):
 def test_expectation_basis_state():
     z000 = np.zeros(8, dtype=complex)
     z000[0] = 1.0
-    assert expectation(z000, "ZZI") == 1.0
-    assert expectation(z000, "XXI") == 0.0
+    assert ExpectationKernel(["ZZI", "XXI"])(z000).tolist() == [1.0, 0.0]
 
 
 def test_expectation_plus_state():
     plus = np.full(8, 1 / np.sqrt(8), dtype=complex)
-    assert expectation(plus, "XIX") == pytest.approx(1.0, abs=1e-12)
+    assert ExpectationKernel(["XIX"])(plus)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_qubit_mismatch():
     z00 = np.zeros(4, dtype=complex)
     z00[0] = 1.0
     with pytest.raises(ValueError):
-        expectation(z00, "ZZI")
+        ExpectationKernel(["ZZI"])(z00)
 
 
 def test_expectations_batch_matches_scalar():
     z000 = np.zeros(8, dtype=complex)
     z000[0] = 1.0
     strings = enumerate_strings(EncodingSpec("full_xyz", m=3, n_vars=9, k=2))
-    vals = expectations(z000, strings)
+    vals = ExpectationKernel(strings)(z000)
     assert np.array_equal(vals, [0, 0, 1, 0, 0, 1, 0, 0, 1])
-    assert np.array_equal(expectations(z000, ["IZZ", "ZIZ", "ZZI"]), [1, 1, 1])
+    assert np.array_equal(vals, [dense_expectation(z000, s) for s in strings])
+    assert np.array_equal(ExpectationKernel(["IZZ", "ZIZ", "ZZI"])(z000), [1, 1, 1])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_expectation_matches_dense_oracle(m):
+    # each string on a kernel of its own
     rng = np.random.default_rng(m + 7)
     spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
     strings = enumerate_strings(spec)
     for _ in range(10):
         psi = prepare_state(m, rng.uniform(-np.pi, np.pi, 6 * m))
         for s in strings:
-            assert expectation(psi, s) == pytest.approx(
+            assert ExpectationKernel([s])(psi)[0] == pytest.approx(
                 dense_expectation(psi, s), abs=1e-10
             )
 
@@ -131,7 +130,8 @@ def test_kernel_matches_scalar_path(m):
     kernel = ExpectationKernel(strings)
     for _ in range(10):
         psi = prepare_state(m, rng.uniform(-np.pi, np.pi, 6 * m))
-        assert np.allclose(kernel(psi), expectations(psi, strings), atol=1e-13)
+        want = [dense_expectation(psi, s) for s in strings]
+        assert np.allclose(kernel(psi), want, rtol=0, atol=1e-13)
 
 
 def test_kernel_mixed_orders():
@@ -149,11 +149,11 @@ def test_pauli_bound_and_hermiticity(m):
     rng = np.random.default_rng(m + 17)
     spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
     strings = enumerate_strings(spec)
+    kernel = ExpectationKernel(strings)
     for _ in range(25):
         psi = prepare_state(m, rng.uniform(-np.pi, np.pi, 6 * m))
+        assert np.all(np.abs(kernel(psi)) <= 1.0 + 1e-12)
         for s in strings:
-            val = expectation(psi, s)
-            assert abs(val) <= 1.0 + 1e-12
             # the dense path asserts imag < 1e-10 internally
             dense_expectation(psi, s)
 
@@ -184,10 +184,13 @@ def test_kernel_matches_perm_reference_across_the_wht_switch(m):
     for spec in _encodings(m):
         strings = enumerate_strings(spec)
         kernel = ExpectationKernel(strings)
-        for psi in states:
+        # each string's dense matrix is built once and read by both states
+        want = np.array([[np.vdot(psi, pauli @ psi).real for psi in states]
+                         for pauli in map(pauli_matrix, strings)])
+        for psi, column in zip(states, want.T):
             got = kernel(psi)
             assert got.shape == (len(strings),)
-            assert np.allclose(got, expectations(psi, strings), rtol=0, atol=1e-13)
+            assert np.allclose(got, column, rtol=0, atol=1e-13)
 
 
 def test_wht_kernel_exact_on_basis_states():
@@ -222,8 +225,6 @@ def test_kernel_refuses_mixed_letter_strings(m):
 def test_invalid_letters_are_refused():
     with pytest.raises(ValueError, match="invalid Pauli"):
         ExpectationKernel(["IQ"])
-    with pytest.raises(ValueError, match="invalid Pauli"):
-        expectation(np.array([1, 0, 0, 0], dtype=complex), "IQ")
 
 
 # kron path up to m=6, split from m=7, WHT kernel from m=8
