@@ -10,10 +10,11 @@ Subcommands:
 Every subcommand accepts --config FILE, a JSON object whose keys override
 the flags of the same name; a key that names no flag of the subcommand, or
 a value that is not the JSON type of its flag, is an error. `bench` also
-takes the config-only key `solvers`, a list of SolverSpec keyword objects
-that replaces --solver/--alphas/--paired, so a campaign such as an eta
-sweep is one plan file (see plans/). Their values follow the same rule;
-the optimizer budget comes from --max-evals.
+takes the config-only key `solvers`, a list of SolverSpec keyword objects,
+so a campaign such as an alpha or eta sweep is one plan file (see plans/).
+Their values follow the same rule, the shared solver flags fill what an
+entry leaves out, and the optimizer budget comes from --max-evals. Without
+`solvers`, bench runs one unpaired iterative solver labelled `iterative`.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from pathlib import Path
 from .graph import generate_complete_graph, read_graph, write_graph
 from .harness import (
     HISTORY_FIELDS,
+    JSON_KINDS,
     ExperimentPlan,
     GraphSource,
     SolverSpec,
     aggregate,
     emit_report,
+    json_fits,
     make_record,
     read_records,
     render_markdown,
@@ -51,31 +54,27 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-# the JSON values that stand for each flag type, and their name in an error
-_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
-_JSON_STRING = ((str,), "a string")
+def _kind(action: argparse.Action) -> type:
+    """The JSON_KINDS key of a flag's values."""
+    return bool if action.nargs == 0 else action.type if action.type in (int, float) else str
 
 
 def _fits_one(action: argparse.Action, value) -> bool:
     if action.choices is not None:
         return value in action.choices
-    kinds = _JSON_KINDS.get(action.type, _JSON_STRING)[0]
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    return json_fits(value, _kind(action))
 
 
 def _config_mismatch(action: argparse.Action, value) -> str | None:
     """What a config value for this flag must be, or None when it is that."""
-    if action.nargs == 0:
-        fits, want = isinstance(value, bool), "true or false"
+    one = (f"one of {sorted(action.choices)}" if action.choices is not None
+           else JSON_KINDS[_kind(action)][1])
+    if action.nargs in ("*", "+"):
+        fits = isinstance(value, list) and all(_fits_one(action, v) for v in value)
+        want = f"a list whose items are each {one}"
     else:
-        one = (f"one of {sorted(action.choices)}" if action.choices is not None
-               else _JSON_KINDS.get(action.type, _JSON_STRING)[1])
-        if action.nargs in ("*", "+"):
-            fits = isinstance(value, list) and all(_fits_one(action, v) for v in value)
-            want = f"a list whose items are each {one}"
-        else:
-            fits = _fits_one(action, value) or (value is None and action.default is None)
-            want = one if action.default is not None else f"{one} or null"
+        fits = _fits_one(action, value) or (value is None and action.default is None)
+        want = one if action.default is not None else f"{one} or null"
     return None if fits else want
 
 
@@ -120,7 +119,10 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     so a plan file's `4` reaches the run records as `4`, not `4.0`.
     """
     if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
+        try:
+            overrides = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"{args.config}: not valid JSON ({exc})") from exc
         if not isinstance(overrides, dict):
             raise SystemExit(f"{args.config}: holds a {type(overrides).__name__}, "
                              "not a JSON object")
@@ -235,24 +237,12 @@ def _graph_source_from_args(args) -> GraphSource:
 
 def _plan_from_args(args) -> ExperimentPlan:
     common = _solver_kwargs(args)
-    if args.solvers is not None:
-        if args.alphas or args.paired:
-            raise SystemExit("bench: `solvers` replaces --alphas and --paired; give one or the other")
-        solvers = [SolverSpec(**{**common, **entry}) for entry in args.solvers]
-    else:
-        solvers = []
-        if args.solver in ("iterative", "both"):
-            solvers.append(SolverSpec(label="iterative", mode="iterative",
-                                      paired_control=args.paired, **common))
-        if args.solver in ("fixed", "both"):
-            for alpha in args.alphas or [100.0]:
-                solvers.append(SolverSpec(label=f"fixed-a{alpha:g}", mode="fixed",
-                                          alpha=alpha, **common))
+    entries = [{}] if args.solvers is None else args.solvers
     return ExperimentPlan(
         graph=_graph_source_from_args(args),
         c_values=tuple(args.c_values) if args.c_values else None,
         repetitions=args.reps,
-        solvers=tuple(solvers),
+        solvers=tuple(SolverSpec(**{**common, **entry}) for entry in entries),
         seed_base=args.seed_base,
         baseline_method=args.baseline_method,
         baseline_seed=args.baseline_seed,
@@ -347,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-values", type=int, nargs="*", default=None,
                    help="budget values (default: every c in [2, n/2])")
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--solver", choices=["iterative", "fixed", "both"], default="iterative")
-    p.add_argument("--alphas", type=float, nargs="*", default=None,
-                   help="alpha grid for fixed-mode solvers")
-    p.add_argument("--paired", action="store_true",
-                   help="pair each iterative run with a fixed control at its final alpha")
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--baseline-method", choices=["sa", "exhaustive", "auto"], default="sa")
     p.add_argument("--baseline-seed", type=int, default=0)

@@ -71,17 +71,14 @@ class EncodingSpec:
                 raise ValueError(f"{self.family} needs a fixed order k")
         if self.family != "full_xyz" and self.pauli not in PAULI_LETTERS:
             raise ValueError(f"pauli must be one of {PAULI_LETTERS!r}")
-        cap = capacity(self.family, self.m, self.k if self.k is not None else self.k_range)
+        order = self.k if self.k is not None else self.k_range
+        cap = capacity(self.family, self.m, order)
         if cap < self.n_vars:
             raise CapacityError(
                 f"{self.family} on m={self.m} holds {cap} variables, "
                 f"need {self.n_vars}; smallest sufficient m is "
-                f"{minimal_qubits(self.family, self.k if self.k is not None else self.k_range, self.n_vars)}"
+                f"{minimal_qubits(self.family, order, self.n_vars)}"
             )
-
-    @property
-    def capacity(self) -> int:
-        return capacity(self.family, self.m, self.k if self.k is not None else self.k_range)
 
 
 def capacity(family: str, m: int, k) -> int:

@@ -142,9 +142,7 @@ class ExperimentPlan:
     graph: GraphSource
     c_values: tuple[int, ...] | None = None  # None -> every c in [2, n/2]
     repetitions: int = 10
-    solvers: tuple[SolverSpec, ...] = (
-        SolverSpec(label="iterative", paired_control=True),
-    )
+    solvers: tuple[SolverSpec, ...] = ()
     seed_base: int = 0
     baseline_method: str = "sa"
     baseline_seed: int = 0
@@ -309,30 +307,46 @@ def replay_record(record: dict, graph: WeightedGraph | None = None) -> SolveOutc
 # every key of make_record's records; _error_record's need only "error"
 _RUN_RECORD_KEYS = ("artifact_version", "label", "role", "pair_id", "c", "graph",
                     "config", "outcome", "metrics", "wall_time_s")
-# runs.csv's columns and the record keys they hold: with pair_id and
-# outcome.history, every key of a run record that the report reads
+# the JSON values that stand for each Python type, and their name in an
+# error; a bool is no int or number here
+JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+              str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
+
+def json_fits(value, kind: type) -> bool:
+    """Whether a JSON value is of kind, a key of JSON_KINDS."""
+    return isinstance(value, JSON_KINDS[kind][0]) and isinstance(value, bool) == (kind is bool)
+
+
+# runs.csv's columns, the record keys they hold and the kind of value the
+# report reads there: with pair_id and outcome.history, every key of a run
+# record that the report reads
 RUN_COLUMNS = (
-    ("nodes", "graph.nodes"), ("graph_hash", "graph.hash"), ("label", "label"),
-    ("role", "role"), ("c", "c"), ("seed", "config.seed"),
-    ("alpha_mode", "config.alpha_mode"), ("alpha", "config.objective.alpha"),
-    ("final_alpha", "outcome.final_alpha"), ("feasible", "metrics.feasible"),
-    ("binarization", "metrics.binarization"), ("cut", "outcome.cut"),
-    ("baseline_cut", "metrics.baseline_cut"), ("normalized_cut", "metrics.normalized_cut"),
-    ("outer_iters", "outcome.outer_iters"), ("inner_evals", "outcome.inner_evals"),
-    ("capped", "outcome.capped"), ("wall_time_s", "wall_time_s"),
+    ("nodes", "graph.nodes", int), ("graph_hash", "graph.hash", str),
+    ("label", "label", str), ("role", "role", str), ("c", "c", int),
+    ("seed", "config.seed", int), ("alpha_mode", "config.alpha_mode", str),
+    ("alpha", "config.objective.alpha", float), ("final_alpha", "outcome.final_alpha", float),
+    ("feasible", "metrics.feasible", bool), ("binarization", "metrics.binarization", float),
+    ("cut", "outcome.cut", float), ("baseline_cut", "metrics.baseline_cut", float),
+    ("normalized_cut", "metrics.normalized_cut", float),
+    ("outer_iters", "outcome.outer_iters", int), ("inner_evals", "outcome.inner_evals", int),
+    ("capped", "outcome.capped", bool), ("wall_time_s", "wall_time_s", float),
 )
 
 
 def run_row(record: dict) -> dict:
     """A run record's runs.csv row; ValueError naming the first key of
-    RUN_COLUMNS that the record lacks, or whose parent is not an object."""
+    RUN_COLUMNS that the record lacks, whose parent is not an object, or
+    whose value is not of its column's kind."""
     row = {}
-    for column, key in RUN_COLUMNS:
+    for column, key, kind in RUN_COLUMNS:
         node = record
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
                 raise ValueError(f"no key {key!r}")
             node = node[part]
+        if not json_fits(node, kind):
+            raise ValueError(f"key {key!r} holds {node!r}, not {JSON_KINDS[kind][1]}")
         row[column] = node
     return row
 
@@ -364,6 +378,8 @@ def _check_run_record(record: dict) -> None:
     if missing:
         raise ValueError(f"no key {missing[0]!r}")
     run_row(record)
+    if not (record["pair_id"] is None or isinstance(record["pair_id"], str)):
+        raise ValueError(f"key 'pair_id' holds {record['pair_id']!r}, not a string or null")
     history = record["outcome"].get("history") or []
     if not isinstance(history, list):
         raise ValueError("no key 'outcome.history'")
@@ -445,10 +461,11 @@ def run_plan(
 
     The cells run in lockstep (solver.run_lockstep), each worker process
     driving a round-robin share of them. Records are released in cell order,
-    each cell's run before its control, as soon as every earlier cell has
-    ended: they stream to records_path (JSON lines, one record per line),
-    so the released prefix of a campaign survives a crash, and progress, if
-    given, is called with each record. A record's wall_time_s is its run's share of the
+    each cell's run before its control, once the cell and every earlier cell
+    have ended; with workers > 1, only once the cell's worker has ended its
+    whole share. They stream to records_path (JSON lines), so the released
+    prefix of a campaign survives a crash, and progress, if given, is called
+    with each record. A record's wall_time_s is its run's share of the
     lockstep steps it took part in, so a plan's records add up to the time
     its cells ran.
     """
@@ -697,7 +714,7 @@ def render_markdown(report: AggregateReport) -> str:
 def write_runs_csv(records: list[dict], path) -> None:
     """One observation per row, for plotting sweeps without reparsing JSON."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[column for column, _ in RUN_COLUMNS])
+        writer = csv.DictWriter(fh, fieldnames=[column for column, _, _ in RUN_COLUMNS])
         writer.writeheader()
         writer.writerows(run_row(rec) for rec in records if "error" not in rec)
 

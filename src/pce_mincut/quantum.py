@@ -148,34 +148,18 @@ def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """(index permutation, diagonal phase) such that (P psi)[b] = phase[b] * psi[perm[b]]."""
-    m = len(letters)
-    idx = np.arange(2**m)
-    xor_mask = 0
-    z_mask = 0
-    y_count = 0
-    for q, ch in enumerate(letters):
-        bit = 1 << (m - 1 - q)
-        if ch == "X":
-            xor_mask |= bit
-        elif ch == "Y":
-            xor_mask |= bit
-            z_mask |= bit
-            y_count += 1
-        elif ch == "Z":
-            z_mask |= bit
-        elif ch != "I":
-            raise ValueError(f"invalid Pauli letter {ch!r}")
-    perm = idx ^ xor_mask
-    phase = np.ones(2**m, dtype=complex)
-    if z_mask:
-        bits = idx & z_mask
-        parity = np.zeros(2**m, dtype=np.int64)
+    letter, mask = _letter_and_support(letters)
+    idx = np.arange(2 ** len(letters))
+    perm = idx ^ (0 if letter == "Z" else mask)  # X and Y flip their support's bits
+    phase = np.ones(idx.size, dtype=complex)
+    if letter != "X" and mask:  # Z and Y: -1 where the support holds an odd count of ones
+        bits, parity = idx & mask, np.zeros_like(idx)
         while np.any(bits):
             parity ^= bits & 1
             bits >>= 1
         phase *= np.where(parity, -1.0, 1.0)
-    if y_count:
-        phase *= (-1j) ** y_count
+    if letter == "Y":  # Y = -i ZX on each qubit of the support
+        phase *= (-1j) ** bin(mask).count("1")
     perm.setflags(write=False)
     phase.setflags(write=False)
     return perm, phase

@@ -2,7 +2,9 @@
 
 Everything here is built from explicit 2^m x 2^m gate matrices via Kronecker
 products, gate by gate (RY and RZ applied separately, CZ as a full diagonal
-matrix), deliberately sharing no code with the fast kernel it checks.
+matrix), deliberately sharing no code with the fast kernel it checks. The
+one exception, apply_pauli, applies a Pauli string's 2x2 factors one qubit
+at a time, for registers too large to build each string's matrix.
 """
 
 import numpy as np
@@ -69,6 +71,18 @@ def dense_prepare(m, theta, layers=1):
 
 def pauli_matrix(letters):
     return kron_all([PAULI[ch] for ch in letters])
+
+
+def apply_pauli(letters, state):
+    """P psi for a string of any letters, applied factor by factor: each
+    letter's 2x2 matrix acts on its qubit's axis of the state viewed as an
+    m-axis tensor (qubit 0 first), so no 2^m x 2^m matrix is built."""
+    m = len(letters)
+    psi = np.asarray(state, dtype=complex).reshape((2,) * m)
+    for q, ch in enumerate(letters):
+        if ch != "I":  # the identity factor leaves psi as it is
+            psi = np.moveaxis(np.tensordot(PAULI[ch], psi, axes=([1], [q])), 0, q)
+    return psi.reshape(-1)
 
 
 def dense_expectation(state, letters):

@@ -15,7 +15,10 @@ assignment bytes and cut. `sa_solve` can also record each step's decision,
 so tests can check which blocks the package's cold phase scores. `minimize`
 can also record which Nelder-Mead step each iteration took and which new
 vertices tied with another, so tests can show that their objectives reach
-every branch and every ordering case.
+every branch and every ordering case. `pauli_action` builds a string's
+permutation and phase tables with a loop over its letters, and the
+package's tables, built from the string's letter and support mask, must
+equal them byte for byte.
 """
 
 import itertools
@@ -93,6 +96,38 @@ def wht(rows, m):
     h_a, h_b = _hadamard_factors(m)
     blocks = rows.reshape(rows.shape[0], h_a.shape[0], h_b.shape[0])
     return (h_a @ blocks @ h_b).reshape(rows.shape)
+
+
+def pauli_action(letters):
+    m = len(letters)
+    idx = np.arange(2**m)
+    xor_mask = 0
+    z_mask = 0
+    y_count = 0
+    for q, ch in enumerate(letters):
+        bit = 1 << (m - 1 - q)
+        if ch == "X":
+            xor_mask |= bit
+        elif ch == "Y":
+            xor_mask |= bit
+            z_mask |= bit
+            y_count += 1
+        elif ch == "Z":
+            z_mask |= bit
+        elif ch != "I":
+            raise ValueError(f"invalid Pauli letter {ch!r}")
+    perm = idx ^ xor_mask
+    phase = np.ones(2**m, dtype=complex)
+    if z_mask:
+        bits = idx & z_mask
+        parity = np.zeros(2**m, dtype=np.int64)
+        while np.any(bits):
+            parity ^= bits & 1
+            bits >>= 1
+        phase *= np.where(parity, -1.0, 1.0)
+    if y_count:
+        phase *= (-1j) ** y_count
+    return perm, phase
 
 
 def expectations(state, letters):

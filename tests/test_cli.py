@@ -66,9 +66,11 @@ def test_solve_exits_in_one_line_on_alpha_in_iterative_mode(tmp_path, capsys):
 def test_bench_and_report_round_trip(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     report_dir = tmp_path / "report"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"solvers": [{"paired_control": True}]}))
     code = run_cli(
-        "bench", "--n", 6, "--c-values", 2, "--reps", 2, "--solver", "iterative",
-        "--paired", "--max-evals", 600, "--baseline-method", "exhaustive",
+        "bench", "--config", plan, "--n", 6, "--c-values", 2, "--reps", 2,
+        "--max-evals", 600, "--baseline-method", "exhaustive",
         "--records", records, "--report-dir", report_dir, "--quiet",
     )
     assert code == 0
@@ -88,9 +90,12 @@ def test_bench_and_report_round_trip(tmp_path, capsys):
 
 def test_bench_fixed_alpha_grid(tmp_path):
     records = tmp_path / "r.jsonl"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"solvers": [
+        {"label": f"fixed-a{alpha}", "mode": "fixed", "alpha": alpha} for alpha in (4, 100)]}))
     code = run_cli(
-        "bench", "--n", 6, "--c-values", 2, "--reps", 1, "--solver", "fixed",
-        "--alphas", 4, 100, "--max-evals", 400, "--baseline-method", "exhaustive",
+        "bench", "--config", plan, "--n", 6, "--c-values", 2, "--reps", 1,
+        "--max-evals", 400, "--baseline-method", "exhaustive",
         "--records", records, "--quiet",
     )
     assert code == 0
@@ -114,10 +119,11 @@ def bench_args(tmp_path, config, *flags):
     return _apply_config(build_parser().parse_args(argv))
 
 
-@pytest.mark.parametrize("key", ["alpha", "func", "command", "config"])
+@pytest.mark.parametrize("key", ["alpha", "func", "command", "config",
+                                 "solver", "alphas", "paired"])
 def test_config_rejects_unknown_key(tmp_path, key):
-    with pytest.raises(SystemExit, match=repr(key)):
-        bench_args(tmp_path, {key: [4.0, 8.0], "solver": "fixed"}, "--n", 4)
+    with pytest.raises(SystemExit, match=f"{key!r} is not a setting of bench"):
+        bench_args(tmp_path, {key: [4.0, 8.0]}, "--n", 4)
 
 
 def test_config_solvers_is_a_bench_key_only(tmp_path):
@@ -140,12 +146,12 @@ def test_config_solvers_take_the_shared_solver_flags(tmp_path):
     )
 
 
-@pytest.mark.parametrize("flags", [("--alphas", 4), ("--paired",)])
-def test_config_solvers_refuse_solver_flags(tmp_path, flags):
-    args = bench_args(tmp_path, {"solvers": [{"label": "a", "mode": "fixed", "alpha": 5.0}]},
-                      "--n", 4, *flags)
-    with pytest.raises(SystemExit, match="solvers"):
-        _plan_from_args(args)
+def test_bench_without_solvers_runs_one_unpaired_iterative_solver(tmp_path):
+    args = bench_args(tmp_path, {"eta": 2.0}, "--n", 4, "--max-evals", 300)
+    assert _plan_from_args(args).solvers == (
+        SolverSpec(label="iterative", mode="iterative", paired_control=False, eta=2.0,
+                   optimizer=OptimizerConfig(max_evals=300)),
+    )
 
 
 def test_bench_refuses_a_plan_without_solvers(tmp_path):
@@ -197,10 +203,10 @@ def test_bench_exits_in_one_line_on_a_config_value_out_of_range(tmp_path):
     ({"reps": 1.5}, "an integer"),
     ({"seed_base": True}, "an integer"),
     ({"beta": "1000"}, "a number or null"),
-    ({"solver": "fixd"}, "one of ['both', 'fixed', 'iterative']"),
-    ({"alphas": [4, "8"]}, "a list whose items are each a number"),
+    ({"baseline_method": "exact"}, "one of ['auto', 'exhaustive', 'sa']"),
+    ({"c_values": [2, "3"]}, "a list whose items are each an integer"),
     ({"c_values": 2}, "a list whose items are each an integer"),
-    ({"paired": 1}, "true or false"),
+    ({"no_history": 1}, "true or false"),
     ({"records": 7}, "a string or null"),
 ])
 def test_config_refuses_a_value_of_the_wrong_type(tmp_path, config, want):
@@ -213,10 +219,10 @@ def test_config_refuses_a_value_of_the_wrong_type(tmp_path, config, want):
 
 
 def test_config_keeps_json_values_that_fit(tmp_path):
-    args = bench_args(tmp_path, {"alphas": [4, 8.5], "beta": None, "c_values": [2],
-                                 "paired": False, "update_rule": "large_scale"}, "--n", 4)
-    assert args.alphas == [4, 8.5] and type(args.alphas[0]) is int
-    assert (args.beta, args.c_values, args.paired, args.update_rule) == (
+    args = bench_args(tmp_path, {"beta": 4, "M": None, "c_values": [2],
+                                 "no_history": False, "update_rule": "large_scale"}, "--n", 4)
+    assert args.beta == 4 and type(args.beta) is int
+    assert (args.M, args.c_values, args.no_history, args.update_rule) == (
         None, [2], False, "large_scale")
 
 
@@ -250,8 +256,10 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
     ("report --records {tmp}/missing.jsonl", "report: [Errno 2] No such file or directory"),
     ("report --records {tmp}/missing.jsonl --config {tmp}/list.json",
      "{tmp}/list.json: holds a list, not a JSON object"),
+    ("report --records {tmp}/missing.jsonl --config {tmp}/cache.json",
+     "{tmp}/cache.json: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
 ], ids=["bench-graph-file", "solve-graph-file", "c-values", "baseline-c", "cache", "records",
-        "config-list"])
+        "config-list", "config-not-json"])
 def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.txt").write_text("0 1 1.0\n1 x 2.0\n")
     (tmp_path / "cache.json").write_text("not json\n")
@@ -264,27 +272,48 @@ def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     assert "\n" not in text
 
 
-@pytest.mark.parametrize("line, key", [
-    ("{}", "artifact_version"), ('{"label": "x"}', "artifact_version"),
-    ('{"artifact_version": "0.2.0", "label": "x", "c": 2}', "role"),
+def v0_2_0_record_with(key, value):
+    """The first committed v0.2.0 record, as a JSON line, with value at the dotted key."""
+    record = json.loads(RECORDS_V0_2_0.read_text().splitlines()[0])
+    *parents, last = key.split(".")
+    node = record
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("{}", "no key 'artifact_version'"), ('{"label": "x"}', "no key 'artifact_version'"),
+    ('{"artifact_version": "0.2.0", "label": "x", "c": 2}', "no key 'role'"),
     ('{"artifact_version": "0.2.0", "label": "x", "role": "single", "pair_id": null, "c": 2, '
      '"graph": {}, "config": {}, "outcome": {}, "metrics": {}, "wall_time_s": 0}',
-     "graph.nodes"),
+     "no key 'graph.nodes'"),
     ('{"artifact_version": "0.2.0", "label": "x", "role": "single", "pair_id": null, "c": 2, '
      '"graph": [], "config": {}, "outcome": {}, "metrics": {}, "wall_time_s": 0}',
-     "graph.nodes"),
-], ids=["empty", "label-only", "no-outcome", "empty-sections", "graph-list"])
-def test_report_refuses_an_object_that_is_no_record(tmp_path, line, key):
+     "no key 'graph.nodes'"),
+    (v0_2_0_record_with("metrics.binarization", "x"),
+     "key 'metrics.binarization' holds 'x', not a number"),
+    (v0_2_0_record_with("graph.nodes", "6"), "key 'graph.nodes' holds '6', not an integer"),
+    (v0_2_0_record_with("metrics.feasible", "no"),
+     "key 'metrics.feasible' holds 'no', not true or false"),
+    (v0_2_0_record_with("metrics.binarization", True),
+     "key 'metrics.binarization' holds True, not a number"),
+    (v0_2_0_record_with("pair_id", 7), "key 'pair_id' holds 7, not a string or null"),
+], ids=["empty", "label-only", "no-outcome", "empty-sections", "graph-list", "str-binarization",
+        "str-nodes", "str-feasible", "bool-binarization", "int-pair-id"])
+def test_report_refuses_an_object_that_is_no_record(tmp_path, line, reason):
     records = tmp_path / "runs.jsonl"
-    records.write_text('{"error": "RuntimeError: boom", "c": 2}\n' + line + "\n")
+    # an error record before the line, and a record with an int graph.nodes after it
+    records.write_text('{"error": "RuntimeError: boom", "c": 2}\n' + line + "\n"
+                       + RECORDS_V0_2_0.read_text().splitlines()[0] + "\n")
     with pytest.raises(SystemExit) as exc_info:
         run_cli("report", "--records", records, "--out", tmp_path)
-    assert str(exc_info.value) == (f"report: {records}, line 2: not a JSON record "
-                                   f"(no key {key!r})")
+    assert str(exc_info.value) == (f"report: {records}, line 2: not a JSON record ({reason})")
     assert list(tmp_path.iterdir()) == [records]
 
 
-@pytest.mark.parametrize("key", [key for _, key in RUN_COLUMNS]
+@pytest.mark.parametrize("key", [key for _, key, _ in RUN_COLUMNS]
                          + ["pair_id", "outcome.history[1].minus_count"])
 def test_report_refuses_a_record_without_a_key_it_reads(tmp_path, key):
     records = tmp_path / "runs.jsonl"

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import loop_reference
-from dense_reference import dense_expectation, dense_prepare, pauli_matrix
+from dense_reference import apply_pauli, dense_expectation, dense_prepare, pauli_matrix
 from pce_mincut import quantum
 from pce_mincut.encoding import EncodingSpec, capacity, enumerate_strings
 from pce_mincut.quantum import (
@@ -176,6 +178,28 @@ def _encodings(m):
     return specs
 
 
+def test_pauli_action_tables_equal_the_letter_loops_bytes():
+    # every same-letter string on m = 1..7 qubits, the identity included: a
+    # superset of every encoding family's strings, for every letter
+    for m in range(1, 8):
+        strings = ["I" * m] + ["".join(p if (mask >> (m - 1 - q)) & 1 else "I"
+                                       for q in range(m))
+                               for p in "XYZ" for mask in range(1, 2**m)]
+        for s in strings:
+            got, want = quantum._pauli_action(s), loop_reference.pauli_action(s)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), s
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_apply_pauli_matches_the_dense_matrix(m):
+    rng = np.random.default_rng(m)
+    psi = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+    for letters in itertools.product("IXYZ", repeat=m):
+        s = "".join(letters)
+        np.testing.assert_allclose(apply_pauli(s, psi), pauli_matrix(s) @ psi, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("m", [T - 1, T, T + 1])
 def test_kernel_matches_perm_reference_across_the_wht_switch(m):
     rng = np.random.default_rng(m + 31)
@@ -184,9 +208,8 @@ def test_kernel_matches_perm_reference_across_the_wht_switch(m):
     for spec in _encodings(m):
         strings = enumerate_strings(spec)
         kernel = ExpectationKernel(strings)
-        # each string's dense matrix is built once and read by both states
-        want = np.array([[np.vdot(psi, pauli @ psi).real for psi in states]
-                         for pauli in map(pauli_matrix, strings)])
+        want = np.array([[np.vdot(psi, apply_pauli(s, psi)).real for psi in states]
+                         for s in strings])
         for psi, column in zip(states, want.T):
             got = kernel(psi)
             assert got.shape == (len(strings),)
