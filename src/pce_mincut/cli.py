@@ -27,6 +27,7 @@ import sys
 import time
 from pathlib import Path
 
+from .encoding import FAMILIES, PAULI_LETTERS
 from .graph import generate_complete_graph, read_graph, write_graph
 from .harness import (
     HISTORY_FIELDS,
@@ -149,9 +150,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, default=None, help="penalty strength (default: degree heuristic)")
     parser.add_argument("--eta", type=float, default=0.0, help="regularization strength")
     parser.add_argument("--update-rule", choices=["arctanh_ratio", "large_scale"], default=None)
-    parser.add_argument("--family", choices=["full_xyz", "single_pauli", "single_pauli_mixed"],
-                        default="full_xyz")
-    parser.add_argument("--pauli", choices=["X", "Y", "Z"], default="Z")
+    parser.add_argument("--family", choices=FAMILIES, default="full_xyz")
+    parser.add_argument("--pauli", choices=list(PAULI_LETTERS), default="Z")
     parser.add_argument("--k", type=int, default=None, help="Pauli-string order (default by size)")
     parser.add_argument("--layers", type=int, default=1)
     parser.add_argument("--max-evals", type=int, default=None, help="optimizer evaluation budget")

@@ -1,19 +1,20 @@
 """Pauli-string enumeration for the correlation encodings.
 
 Each classical variable is carried by one Pauli string: a tensor product of
-single-qubit operators where every non-identity factor is the same Pauli
-letter. Three families are supported:
+single-qubit operators whose non-identity factors share one Pauli letter.
+A family is one rule, a letter set and an order range lo..hi; on m qubits
+it holds len(letters) * sum C(m, k) over k in lo..hi variables:
 
-  full_xyz            fixed order k, letters X, Y and Z   (capacity 3*C(m,k))
-  single_pauli        fixed order k, one letter           (capacity C(m,k))
+  full_xyz            letters X, Y and Z, fixed order k   (capacity 3*C(m,k))
+  single_pauli        one letter, fixed order k           (capacity C(m,k))
   single_pauli_mixed  one letter, orders k in [lo, hi]    (capacity sum C(m,k))
 
 Strings render with qubit 0 leftmost, e.g. "IXX" acts on qubits 1 and 2.
-The enumeration anchors position subsets at the right end of the register,
-so the first strings of "single_pauli" k=2 on m=5 read IIIZZ, IIZIZ, IZIIZ,
-... and the full_xyz order on m=3 reads IXX, IYY, IZZ, XIX, YIY, ZIZ, XXI,
-YYI, ZZI. Mixed-order enumeration lists ascending k, so low-order strings
-(typically the larger-magnitude correlators) land on the first variables.
+The enumeration lists ascending orders, then position subsets anchored at
+the right end of the register, then letters: "single_pauli" k=2 on m=5
+starts IIIZZ, IIZIZ, IZIIZ, ... and full_xyz on m=3 reads IXX, IYY, IZZ,
+XIX, YIY, ZIZ, XXI, YYI, ZZI. Low-order strings (typically the
+larger-magnitude correlators) land on the first variables.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ class EncodingSpec:
             if self.k_range is None:
                 raise ValueError("single_pauli_mixed needs k_range=(lo, hi)")
             object.__setattr__(self, "k_range", tuple(self.k_range))
-        else:
-            if self.k is None:
-                raise ValueError(f"{self.family} needs a fixed order k")
+        elif self.k is None:
+            raise ValueError(f"{self.family} needs a fixed order k")
         if self.family != "full_xyz" and self.pauli not in PAULI_LETTERS:
             raise ValueError(f"pauli must be one of {PAULI_LETTERS!r}")
         order = self.k if self.k is not None else self.k_range
@@ -81,39 +81,40 @@ class EncodingSpec:
             )
 
 
-def capacity(family: str, m: int, k) -> int:
-    """Number of variables the encoding can hold; k is an order or (lo, hi)."""
+def _rule(family: str, k, pauli: str = "Z") -> tuple[str, int, int, str]:
+    """A family's letters and orders lo..hi, and its k as an error names it;
+    k is an order, or (lo, hi) for the mixed family."""
     if family not in FAMILIES:
         raise ValueError(f"unknown encoding family {family!r}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
     if family == "single_pauli_mixed":
         lo, hi = k
-        if not (1 <= lo <= hi <= m):
-            raise ValueError(f"k_range {k} out of range for m={m}")
-        return sum(math.comb(m, kk) for kk in range(lo, hi + 1))
-    if not (1 <= k <= m):
-        raise ValueError(f"order k={k} out of range for m={m}")
-    per_letter = math.comb(m, k)
-    return 3 * per_letter if family == "full_xyz" else per_letter
+        return pauli, lo, hi, f"k_range {k}"
+    return PAULI_LETTERS if family == "full_xyz" else pauli, k, k, f"order k={k}"
+
+
+def _count(letters: str, lo: int, hi: int, m: int) -> int:
+    return len(letters) * sum(math.comb(m, kk) for kk in range(lo, hi + 1))
+
+
+def capacity(family: str, m: int, k) -> int:
+    """Number of variables the encoding can hold; k is an order or (lo, hi)."""
+    letters, lo, hi, name = _rule(family, k)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if not (1 <= lo <= hi <= m):
+        raise ValueError(f"{name} out of range for m={m}")
+    return _count(letters, lo, hi, m)
 
 
 def minimal_qubits(family: str, k, n_vars: int) -> int:
-    """Smallest qubit count whose capacity reaches n_vars.
-
-    For the mixed family k is (lo, hi); the upper order is clipped to m while
-    searching, matching how a register smaller than hi would be used.
-    """
+    """Smallest qubit count m >= lo whose strings reach n_vars; k as in capacity."""
     if n_vars < 1:
         raise ValueError("n_vars must be at least 1")
-    if family == "single_pauli_mixed":
-        lo, hi = k
-        m = lo
-        while capacity(family, m, (lo, min(hi, m))) < n_vars:
-            m += 1
-        return m
-    m = k
-    while capacity(family, m, k) < n_vars:
+    letters, lo, hi, name = _rule(family, k)
+    if not (1 <= lo <= hi):
+        raise ValueError(f"{name} out of range")
+    m = lo  # C(m, k) is 0 for k > m, so a register below hi counts what it holds
+    while _count(letters, lo, hi, m) < n_vars:
         m += 1
     return m
 
@@ -126,26 +127,15 @@ def _position_subsets(m: int, k: int):
 
 
 def _string_at(m: int, positions, letter: str) -> str:
-    chars = ["I"] * m
-    for p in positions:
-        chars[p] = letter
-    return "".join(chars)
+    return "".join(letter if q in positions else "I" for q in range(m))
 
 
 def enumerate_strings(spec: EncodingSpec) -> list[str]:
     """The first n_vars strings of the family's deterministic enumeration, as letters."""
-    letters: list[str] = []
-    if spec.family == "full_xyz":
-        for positions in _position_subsets(spec.m, spec.k):
-            for letter in PAULI_LETTERS:
-                letters.append(_string_at(spec.m, positions, letter))
-    elif spec.family == "single_pauli":
-        for positions in _position_subsets(spec.m, spec.k):
-            letters.append(_string_at(spec.m, positions, spec.pauli))
-    else:
-        lo, hi = spec.k_range
-        for kk in range(lo, hi + 1):
-            for positions in _position_subsets(spec.m, kk):
-                letters.append(_string_at(spec.m, positions, spec.pauli))
-    return letters[: spec.n_vars]
-
+    letters, lo, hi, _ = _rule(spec.family, spec.k if spec.k is not None else spec.k_range,
+                               spec.pauli)
+    strings = (_string_at(spec.m, positions, letter)
+               for kk in range(lo, hi + 1)
+               for positions in _position_subsets(spec.m, kk)
+               for letter in letters)
+    return list(itertools.islice(strings, spec.n_vars))

@@ -169,27 +169,22 @@ def read_graph(path) -> WeightedGraph:
     return _read_edge_list(text, str(path))
 
 
-def write_graph(g: WeightedGraph, path, fmt: str | None = None) -> None:
-    """Write a graph; fmt "json" or "edgelist" (default: by file suffix)."""
+def write_graph(g: WeightedGraph, path) -> None:
+    """Write a graph: as JSON if the file name ends in .json, else as an edge list."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "edgelist"
     iu = np.triu_indices(g.n, k=1)
     edges = [
         (int(i), int(j), float(g.weights[i, j]))
         for i, j in zip(*iu)
         if g.weights[i, j] != 0.0
     ]
-    if fmt == "json":
+    if path.suffix == ".json":
         path.write_text(json.dumps({"n": g.n, "edges": edges}) + "\n")
-    elif fmt == "edgelist":
-        # the reader takes n from the largest index: list (0, n-1) even at weight 0
-        if g.weights[0, g.n - 1] == 0.0:
-            edges.append((0, g.n - 1, 0.0))
-        lines = [f"{i} {j} {w!r}" for i, j, w in edges]
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown graph format {fmt!r}")
+        return
+    # the reader takes n from the largest index: list (0, n-1) even at weight 0
+    if g.weights[0, g.n - 1] == 0.0:
+        edges.append((0, g.n - 1, 0.0))
+    path.write_text("\n".join(f"{i} {j} {w!r}" for i, j, w in edges) + "\n")
 
 
 def _insert_edge(w: np.ndarray, seen: dict, i: int, j: int, val: float, where: str) -> None:

@@ -93,12 +93,9 @@ class GraphSource:
             )
         raise ValueError(f"unknown graph source kind {self.kind!r}")
 
-    def to_dict(self, graph: WeightedGraph | None = None) -> dict:
-        d = {k: v for k, v in asdict(self).items() if v is not None}
-        if graph is not None:
-            d["hash"] = graph_hash(graph)
-            d["nodes"] = graph.n
-        return d
+    def to_dict(self, graph: WeightedGraph) -> dict:
+        return {**{k: v for k, v in asdict(self).items() if v is not None},
+                "hash": graph_hash(graph), "nodes": graph.n}
 
     @staticmethod
     def from_dict(d: dict) -> "GraphSource":
@@ -157,6 +154,13 @@ class ExperimentPlan:
             raise ValueError("repetitions must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        # a paired solver's controls are labelled <label>-control; the report
+        # groups runs by label, so two solvers must never share one
+        labels = [s.label for s in self.solvers]
+        labels += [f"{s.label}-control" for s in self.solvers if s.paired_control]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"two solvers of the plan label their runs {label!r}")
         if self.c_values is not None:
             object.__setattr__(self, "c_values", tuple(int(c) for c in self.c_values))
 
@@ -296,12 +300,10 @@ def make_record(
     }
 
 
-def replay_record(record: dict, graph: WeightedGraph | None = None) -> SolveOutcome:
+def replay_record(record: dict) -> SolveOutcome:
     """Re-run a record's config; the outcome must match the record bit for bit."""
-    if graph is None:
-        graph = GraphSource.from_dict(record["graph"]).load()
-    cfg = config_from_dict(record["config"], graph)
-    return solve(cfg)
+    graph = GraphSource.from_dict(record["graph"]).load()
+    return solve(config_from_dict(record["config"], graph))
 
 
 # every key of make_record's records; _error_record's need only "error"
@@ -405,9 +407,8 @@ def _cell_steps(cell: tuple, clock):
     """A cell's runs as one step generator for run_lockstep: the solver's run,
     then its paired control. Returns the cell's records; clock() reads the
     cell's share of the driver's wall time so far."""
-    graph, graph_info, spec, c, rep, seed_base, baseline, record_history = cell
+    cfg, graph_info, spec, c, rep, baseline, record_history = cell
     pair_id = f"{spec.label}-c{c}-r{rep}"
-    cfg = _build_config(graph, spec, c, _cell_seed(seed_base, c, rep))
     out = yield from solve_steps(cfg)
     wall = clock()
     records = [
@@ -459,7 +460,8 @@ def run_plan(
 ) -> tuple[list[dict], "AggregateReport"]:
     """Execute every (solver, c, repetition) cell and aggregate the records.
 
-    The cells run in lockstep (solver.run_lockstep), each worker process
+    Every cell's config is built before the first baseline, so a bad solver
+    setting raises its ValueError before any work. The cells run in lockstep (solver.run_lockstep), each worker process
     driving a round-robin share of them. Records are released in cell order,
     each cell's run before its control, once the cell and every earlier cell
     have ended; with workers > 1, only once the cell's worker has ended its
@@ -472,6 +474,10 @@ def run_plan(
     graph = plan.graph.load()
     graph_info = plan.graph.to_dict(graph)
     c_values = plan.resolve_c_values(graph.n)
+    configs = [(spec, c, rep, _build_config(graph, spec, c, _cell_seed(plan.seed_base, c, rep)))
+               for spec in plan.solvers
+               for c in c_values
+               for rep in range(plan.repetitions)]
     sa_cfg = SaConfig(seed=plan.baseline_seed)
     baselines = {
         c: positive_baseline(baseline_cut(graph, c, method=plan.baseline_method,
@@ -479,13 +485,8 @@ def run_plan(
         for c in c_values
     }
 
-    cells = [
-        (graph, graph_info, spec, c, rep, plan.seed_base, baselines[c],
-         plan.record_history)
-        for spec in plan.solvers
-        for c in c_values
-        for rep in range(plan.repetitions)
-    ]
+    cells = [(cfg, graph_info, spec, c, rep, baselines[c], plan.record_history)
+             for spec, c, rep, cfg in configs]
 
     writer = open(records_path, "w") if records_path is not None else None
     records: list[dict] = []
@@ -597,8 +598,9 @@ def aggregate(records: list[dict]) -> AggregateReport:
         graph_key = (row["nodes"], row["graph_hash"])
         groups.setdefault(graph_key + (row["label"],), []).append((rec, row))
         if rec.get("pair_id") is not None:
-            solver_key = graph_key + (row["label"].removesuffix("-control"),)
-            pairs.setdefault(solver_key, {}).setdefault(rec["pair_id"], {})[row["role"]] = row
+            # a control is labelled with its solver's label + "-control"
+            label = row["label"].removesuffix("-control") if row["role"] == "control" else row["label"]
+            pairs.setdefault(graph_key + (label,), {}).setdefault(rec["pair_id"], {})[row["role"]] = row
 
     for (nodes, ghash, label), members in sorted(groups.items()):
         recs, rows = zip(*members)

@@ -170,20 +170,18 @@ def is_feasible(z, c: int) -> bool:
     return min(counts) == c
 
 
-def binarization(values, threshold: float = BINARIZED_THRESHOLD) -> float:
-    """Fraction of soft values with magnitude strictly above the threshold."""
+def binarization(values) -> float:
+    """Fraction of soft values with magnitude strictly above BINARIZED_THRESHOLD."""
     v = np.asarray(values, dtype=float)
-    return float(np.mean(np.abs(v) > threshold))
+    return float(np.mean(np.abs(v) > BINARIZED_THRESHOLD))
 
 
-def plateau_width(alpha: float, level: float = 0.99) -> float:
-    """Distance between the points where |tanh(alpha*x)| crosses the level.
+def plateau_width(alpha: float) -> float:
+    """Distance between the points where |tanh(alpha*x)| crosses 0.99.
 
-    Equals 2*arctanh(level)/alpha; halves whenever alpha doubles, which is
+    Equals 2*arctanh(0.99)/alpha; halves whenever alpha doubles, which is
     why large alpha flattens the loss landscape outside a shrinking band.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be in (0, 1)")
-    return 2.0 * math.atanh(level) / alpha
+    return 2.0 * math.atanh(0.99) / alpha

@@ -199,8 +199,8 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResul
         return stop.value
 
 
-def random_init(dim: int, seed: int | None, low: float = -math.pi, high: float = math.pi) -> np.ndarray:
-    """Uniform i.i.d. start vector; reproducible per seed."""
+def random_init(dim: int, seed: int | None) -> np.ndarray:
+    """Uniform i.i.d. start vector in [-pi, pi); reproducible per seed."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    return np.random.default_rng(seed).uniform(low, high, size=dim)
+    return np.random.default_rng(seed).uniform(-math.pi, math.pi, size=dim)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import enumerate_strings
+from .encoding import EncodingSpec, enumerate_strings, minimal_qubits
 from .graph import cut_size
 from .objective import ObjectiveSpec, binarization, decode, is_feasible, loss, soft_values
 from .optimize import (
@@ -105,6 +105,7 @@ class PceConfig:
             raise ValueError("max_outer_iters must be at least 1")
         if self.layers < 1:
             raise ValueError("layers must be at least 1")
+        self.optimizer.budget(parameter_count(self.objective.encoding.m, self.layers))
 
 
 # the field orders of IterationRecord and SolveOutcome are the key orders of
@@ -157,25 +158,19 @@ def default_config(
 ) -> PceConfig:
     """PceConfig with size-dependent defaults.
 
-    Order k is 2 up to 25 nodes, 3 up to 50, 4 above; the register is the
-    smallest that fits n variables. Instances of 150+ nodes get a tighter
-    binarization threshold (0.95) and a gentler starting alpha (1), and
-    sizes above 25 switch to the large_scale update rule. alpha is the
-    sharpness of a fixed run (default alpha0); iterative mode refuses it,
-    because its schedule starts at alpha0.
+    Order k is 2 up to 25 nodes, 3 up to 50, 4 above (the mixed family spans
+    the orders 1..k); the register is the smallest that fits n variables.
+    From 150 nodes the binarization threshold M is 0.95 and alpha0 is 1, and
+    above 25 nodes the update rule is large_scale. alpha is the sharpness of
+    a fixed run (default alpha0); iterative mode refuses it, as its schedule
+    starts at alpha0.
     """
-    from .encoding import EncodingSpec, minimal_qubits
-
     n = graph.n
     if k is None:
         k = 2 if n <= 25 else (3 if n <= 50 else 4)
-    if family == "single_pauli_mixed":
-        spec_k = (1, k)
-        enc = EncodingSpec(family, m=minimal_qubits(family, spec_k, n), n_vars=n,
-                           k_range=spec_k, pauli=pauli)
-    else:
-        enc = EncodingSpec(family, m=minimal_qubits(family, k, n), n_vars=n,
-                           k=k, pauli=pauli)
+    key, order = ("k_range", (1, k)) if family == "single_pauli_mixed" else ("k", k)
+    enc = EncodingSpec(family, m=minimal_qubits(family, order, n), n_vars=n, pauli=pauli,
+                       **{key: order})
     if M is None:
         M = 0.95 if n >= 150 else 0.90
     if alpha0 is None:

@@ -18,7 +18,10 @@ vertices tied with another, so tests can show that their objectives reach
 every branch and every ordering case. `pauli_action` builds a string's
 permutation and phase tables with a loop over its letters, and the
 package's tables, built from the string's letter and support mask, must
-equal them byte for byte.
+equal them byte for byte. `capacity`, `minimal_qubits` and
+`enumerate_strings` keep one branch per encoding family, as the package did
+before it derived all three from a family's letter set and order range; the
+package must give the same counts, registers, strings and refusals.
 """
 
 import itertools
@@ -345,3 +348,66 @@ def sa_solve(g, c, cfg=SaConfig(), trace=None):
 
     z = _subset_to_z(n, best_minus)
     return OracleResult(z=z, cut=cut_size(g, z), optimal=False)
+
+
+def capacity(family, m, k):
+    """The encoding's capacity with one branch per family."""
+    if family not in ("full_xyz", "single_pauli", "single_pauli_mixed"):
+        raise ValueError(f"unknown encoding family {family!r}")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if family == "single_pauli_mixed":
+        lo, hi = k
+        if not (1 <= lo <= hi <= m):
+            raise ValueError(f"k_range {k} out of range for m={m}")
+        return sum(math.comb(m, kk) for kk in range(lo, hi + 1))
+    if not (1 <= k <= m):
+        raise ValueError(f"order k={k} out of range for m={m}")
+    per_letter = math.comb(m, k)
+    return 3 * per_letter if family == "full_xyz" else per_letter
+
+
+def minimal_qubits(family, k, n_vars):
+    """The smallest sufficient register, clipping the mixed family's hi to m."""
+    if n_vars < 1:
+        raise ValueError("n_vars must be at least 1")
+    if family == "single_pauli_mixed":
+        lo, hi = k
+        m = lo
+        while capacity(family, m, (lo, min(hi, m))) < n_vars:
+            m += 1
+        return m
+    m = k
+    while capacity(family, m, k) < n_vars:
+        m += 1
+    return m
+
+
+def _position_subsets(m, k):
+    for combo in itertools.combinations(range(m), k):
+        yield tuple(m - 1 - s for s in combo)
+
+
+def _string_at(m, positions, letter):
+    chars = ["I"] * m
+    for p in positions:
+        chars[p] = letter
+    return "".join(chars)
+
+
+def enumerate_strings(spec):
+    """The family's strings, one branch per family, cut to n_vars."""
+    letters = []
+    if spec.family == "full_xyz":
+        for positions in _position_subsets(spec.m, spec.k):
+            for letter in "XYZ":
+                letters.append(_string_at(spec.m, positions, letter))
+    elif spec.family == "single_pauli":
+        for positions in _position_subsets(spec.m, spec.k):
+            letters.append(_string_at(spec.m, positions, spec.pauli))
+    else:
+        lo, hi = spec.k_range
+        for kk in range(lo, hi + 1):
+            for positions in _position_subsets(spec.m, kk):
+                letters.append(_string_at(spec.m, positions, spec.pauli))
+    return letters[: spec.n_vars]

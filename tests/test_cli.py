@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import pce_mincut.harness as harness_mod
 import pce_mincut.solver as solver_mod
 from pce_mincut.cli import _apply_config, _plan_from_args, build_parser, main
 from pce_mincut.graph import read_graph
@@ -258,18 +259,43 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
      "{tmp}/list.json: holds a list, not a JSON object"),
     ("report --records {tmp}/missing.jsonl --config {tmp}/cache.json",
      "{tmp}/cache.json: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ("bench --config {tmp}/twins.json --n 4 --reps 2",
+     "bench: two solvers of the plan label their runs 'iterative'"),
 ], ids=["bench-graph-file", "solve-graph-file", "c-values", "baseline-c", "cache", "records",
-        "config-list", "config-not-json"])
+        "config-list", "config-not-json", "solver-labels"])
 def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.txt").write_text("0 1 1.0\n1 x 2.0\n")
     (tmp_path / "cache.json").write_text("not json\n")
     (tmp_path / "list.json").write_text("[1, 2]\n")
+    (tmp_path / "twins.json").write_text(json.dumps(
+        {"solvers": [{"paired_control": True}, {"paired_control": True, "eta": 5.0}]}))
     run_cli("generate", "--n", 4, "--out", tmp_path / "k4.json")
     with pytest.raises(SystemExit) as exc_info:
         run_cli(*argv.format(tmp=tmp_path).split())
     text = str(exc_info.value)
     assert text.startswith(message.format(tmp=tmp_path))
     assert "\n" not in text
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--M 1.5", "threshold M must be in (0, 1), got 1.5"),
+    ("--max-evals 5", "max_evals=5 cannot even build a simplex in 18-D"),
+    ("--alpha0 -1", "alpha0 must be positive and finite, got -1.0"),
+    ("--layers 0", "layers must be at least 1"),
+    ("--beta -1", "beta must be non-negative, got -1.0"),
+])
+def test_bench_refuses_a_bad_solver_setting_before_any_baseline(
+        tmp_path, monkeypatch, flags, message):
+    def baseline_cut(*args, **kwargs):
+        raise AssertionError("a baseline was computed")
+
+    monkeypatch.setattr(harness_mod, "baseline_cut", baseline_cut)
+    records = tmp_path / "runs.jsonl"
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("bench", "--n", 6, "--c-values", 2, 3, "--reps", 2, "--records", records,
+                *flags.split())
+    assert str(exc_info.value) == f"bench: {message}"
+    assert not records.exists()
 
 
 def v0_2_0_record_with(key, value):

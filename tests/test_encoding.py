@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import loop_reference
+import pce_mincut.encoding as encoding
 from dense_reference import pauli_matrix
 from pce_mincut.encoding import (
+    FAMILIES,
+    PAULI_LETTERS,
     CapacityError,
     EncodingSpec,
     capacity,
@@ -103,3 +107,62 @@ def test_groups_commute_under_matrix_multiplication(m):
             for j in range(i + 1, len(mats)):
                 assert np.allclose(mats[i] @ mats[j], mats[j] @ mats[i])
 
+
+def _orders(family, m):
+    """Every order, or every (lo, hi) range of the mixed family, on m qubits."""
+    if family == "single_pauli_mixed":
+        return [(lo, hi) for lo in range(1, m + 1) for hi in range(lo, m + 1)]
+    return list(range(1, m + 1))
+
+
+# every family, m <= 9, every order or range and every letter: 765 cases
+REFERENCE_GRID = [(family, m, k, pauli) for family in FAMILIES for m in range(1, 10)
+                  for k in _orders(family, m) for pauli in PAULI_LETTERS]
+
+
+def test_capacity_and_strings_match_the_per_family_reference():
+    assert len(REFERENCE_GRID) == 765
+    for family, m, k, pauli in REFERENCE_GRID:
+        cap = capacity(family, m, k)
+        assert cap == loop_reference.capacity(family, m, k), (family, m, k)
+        order = {"k_range": k} if family == "single_pauli_mixed" else {"k": k}
+        for n_vars in (1, cap):
+            spec = EncodingSpec(family, m=m, n_vars=n_vars, pauli=pauli, **order)
+            assert enumerate_strings(spec) == loop_reference.enumerate_strings(spec), spec
+
+
+def test_minimal_qubits_matches_the_per_family_reference():
+    cases = [(family, k, n_vars) for family in ("full_xyz", "single_pauli")
+             for k in range(1, 6) for n_vars in range(1, 600)]
+    cases += [("single_pauli_mixed", (lo, hi), n_vars) for lo in range(1, 4)
+              for hi in range(lo, 7) for n_vars in range(1, 400)]
+    for family, k, n_vars in cases:
+        assert minimal_qubits(family, k, n_vars) == loop_reference.minimal_qubits(
+            family, k, n_vars), (family, k, n_vars)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("capacity", ("bogus", 3, 2)),
+    ("capacity", ("full_xyz", 0, 1)),
+    ("capacity", ("single_pauli_mixed", 0, (1, 1))),
+    ("capacity", ("full_xyz", 3, 0)),
+    ("capacity", ("full_xyz", 3, 4)),
+    ("capacity", ("single_pauli", 3, 0)),
+    ("capacity", ("single_pauli", 3, 4)),
+    ("capacity", ("single_pauli_mixed", 3, (0, 2))),
+    ("capacity", ("single_pauli_mixed", 3, (2, 1))),
+    ("capacity", ("single_pauli_mixed", 3, (1, 4))),
+    ("minimal_qubits", ("bogus", 2, 5)),
+    ("minimal_qubits", ("full_xyz", 2, 0)),
+    ("minimal_qubits", ("full_xyz", 0, 5)),
+    ("minimal_qubits", ("single_pauli", -1, 5)),
+    ("minimal_qubits", ("single_pauli_mixed", (0, 2), 5)),
+    ("minimal_qubits", ("single_pauli_mixed", (3, 2), 5)),
+])
+def test_refusals_match_the_per_family_reference(name, args):
+    with pytest.raises(ValueError) as want:
+        getattr(loop_reference, name)(*args)
+    with pytest.raises(ValueError) as got:
+        getattr(encoding, name)(*args)
+    if name == "capacity":
+        assert str(got.value) == str(want.value)

@@ -375,24 +375,33 @@ def test_replay_after_json_round_trip(plan_results):
     assert out.theta_final.tolist() == rec["outcome"]["theta_final"]
 
 
-def test_failure_records_keep_plan_running():
-    # an impossible fixed solver (alpha missing) dies at SolverSpec build time,
-    # so break it at run time instead: file source pointing nowhere
+def test_failure_records_keep_plan_running(monkeypatch):
+    # a bad setting is refused before the plan runs, so break the boom
+    # solver at run time instead: its loss (the only one at beta=7) is NaN
+    real_loss = solver_mod.loss
+
+    def loss(spec, e):
+        values = real_loss(spec, e)
+        if np.ndim(e) == 1:  # a job that waits alone on its ansatz
+            return math.nan if spec.beta == 7.0 else values
+        return [math.nan if s.beta == 7.0 else v for s, v in zip(spec, values)]
+
+    monkeypatch.setattr(solver_mod, "loss", loss)
     plan = small_plan(
         graph=GraphSource(kind="generate", n=6),
         solvers=(
             SolverSpec(label="ok", mode="iterative", optimizer=FAST),
-            SolverSpec(label="boom", mode="fixed", alpha=-5.0),  # invalid alpha
+            SolverSpec(label="boom", mode="fixed", alpha=5.0, beta=7.0),
         ),
         repetitions=1,
     )
     records, report = run_plan(plan)
     assert len(report.failures) == 1
-    assert "alpha" in report.failures[0]["error"]
+    assert "non-finite" in report.failures[0]["error"]
     frames = [line for line in report.failures[0]["traceback"].splitlines()
               if line.lstrip().startswith("File ")]
-    # the innermost frame is the check that raised
-    assert "objective.py" in frames[-1] and "__post_init__" in frames[-1]
+    # the innermost frame is the check that raised: nelder_mead's evaluation f
+    assert "optimize.py" in frames[-1] and frames[-1].endswith(" in f")
     ok = [r for r in records if "error" not in r]
     assert len(ok) == 1 and ok[0]["label"] == "ok"
     md = render_markdown(report)
@@ -413,6 +422,26 @@ def test_workers_produce_identical_records(tmp_path):
 def test_plan_without_solvers_is_refused():
     with pytest.raises(ValueError, match="no solvers"):
         small_plan(solvers=())
+
+
+@pytest.mark.parametrize("solvers, label", [
+    ((SolverSpec(paired_control=True), SolverSpec(paired_control=True, eta=5.0)), "iterative"),
+    ((SolverSpec(paired_control=True),
+      SolverSpec(label="iterative-control", mode="fixed", alpha=5.0)), "iterative-control"),
+], ids=["repeated", "control-label"])
+def test_plan_refuses_two_solvers_with_one_label(solvers, label):
+    # the report would merge their rows, and count half of their pairs
+    with pytest.raises(ValueError, match=f"two solvers of the plan label their runs '{label}'"):
+        small_plan(solvers=solvers)
+
+
+def test_a_paired_label_ending_in_control_keeps_its_pairs():
+    records = read_records(V0_2_0_RECORDS)
+    for rec in records:
+        rec["label"] = rec["label"].replace("iterative", "a-control")
+    (want,) = aggregate(read_records(V0_2_0_RECORDS)).contingency
+    (got,) = aggregate(records).contingency
+    assert got.solver == "a-control" and got.pairs == want.pairs > 0
 
 
 def test_plan_resolves_default_c_values():
