@@ -9,11 +9,11 @@ the relaxation step by step until every variable binarizes.
 
 from .encoding import EncodingSpec, capacity, enumerate_strings, minimal_qubits
 from .graph import WeightedGraph, cut_size, generate_complete_graph, partition_count, read_graph, write_graph
-from .harness import ExperimentPlan, GraphSource, SolverSpec, metric_epsilon_c, run_plan
+from .harness import ExperimentPlan, GraphSource, metric_epsilon_c, run_plan
 from .objective import ObjectiveSpec, beta_c, binarization, decode, is_feasible, loss, plateau_width, soft_values
 from .optimize import OptimizerConfig, OptimizeResult, random_init
 from .oracles import OracleResult, SaConfig, exhaustive_best, normalized_cut, sa_solve
 from .quantum import parameter_count, prepare_state
-from .solver import PceConfig, SolveOutcome, default_config, next_alpha, solve
+from .solver import PceConfig, SolveOutcome, SolverSpec, next_alpha, solve
 
 __version__ = "0.1.0"

@@ -15,6 +15,9 @@ so a campaign such as an alpha or eta sweep is one plan file (see plans/).
 Their values follow the same rule, the shared solver flags fill what an
 entry leaves out, and the optimizer budget comes from --max-evals. Without
 `solvers`, bench runs one unpaired iterative solver labelled `iterative`.
+`solve` and `bench` both build each run's config with SolverSpec.config, so
+they refuse the same settings; `solve` alone also sets the outer-iteration
+and alpha caps of its run.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import time
 from pathlib import Path
 
 from .encoding import FAMILIES, PAULI_LETTERS
-from .graph import generate_complete_graph, read_graph, write_graph
+from .graph import WEIGHT_MODES, generate_complete_graph, read_graph, write_graph
 from .harness import (
     HISTORY_FIELDS,
     JSON_KINDS,
     ExperimentPlan,
     GraphSource,
-    SolverSpec,
     aggregate,
     emit_report,
     json_fits,
@@ -44,8 +46,8 @@ from .harness import (
     run_plan,
 )
 from .optimize import OptimizerConfig
-from .oracles import SaConfig, baseline_cut, positive_baseline
-from .solver import default_config, solve
+from .oracles import BASELINE_METHODS, SaConfig, baseline_cut, positive_baseline
+from .solver import MODES, UPDATE_RULES, SolverSpec, solve
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -88,7 +90,7 @@ def _subcommand_flags(command: str) -> dict[str, argparse.Action]:
 # the value rules of the SolverSpec fields that no bench flag shares
 _SOLVER_ONLY_FLAGS = {a.dest: a for a in (
     argparse.Action([], "label", default="iterative"),
-    argparse.Action([], "mode", choices=["fixed", "iterative"], default="iterative"),
+    argparse.Action([], "mode", choices=MODES, default="iterative"),
     argparse.Action([], "alpha", type=float),
     argparse.Action([], "paired_control", nargs=0, default=False),
 )}
@@ -149,7 +151,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--M", type=float, default=None, help="binarization threshold")
     parser.add_argument("--beta", type=float, default=None, help="penalty strength (default: degree heuristic)")
     parser.add_argument("--eta", type=float, default=0.0, help="regularization strength")
-    parser.add_argument("--update-rule", choices=["arctanh_ratio", "large_scale"], default=None)
+    parser.add_argument("--update-rule", choices=UPDATE_RULES, default=None)
     parser.add_argument("--family", choices=FAMILIES, default="full_xyz")
     parser.add_argument("--pauli", choices=list(PAULI_LETTERS), default="Z")
     parser.add_argument("--k", type=int, default=None, help="Pauli-string order (default by size)")
@@ -158,7 +160,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _solver_kwargs(args) -> dict:
-    """Keywords of the shared solver flags, as default_config and SolverSpec take them."""
+    """SolverSpec keywords of the shared solver flags; `solve` adds mode and alpha,
+    and a `bench` solvers entry overrides any of them."""
     return dict(
         alpha0=args.alpha0, M=args.M, beta=args.beta, eta=args.eta,
         update_rule=args.update_rule, family=args.family, pauli=args.pauli,
@@ -190,15 +193,10 @@ def cmd_baseline(args) -> int:
 
 def cmd_solve(args) -> int:
     g = read_graph(args.graph)
-    cfg = default_config(
-        g, args.c,
-        alpha_mode=args.alpha_mode,
-        seed=args.seed,
-        alpha=args.alpha,
-        max_outer_iters=args.max_outer_iters,
-        alpha_cap=args.alpha_cap,
-        **_solver_kwargs(args),
-    )
+    spec = SolverSpec(mode=args.alpha_mode, alpha=args.alpha, **_solver_kwargs(args))
+    # the two caps are settings of this one run, not of a plan's solvers
+    cfg = dataclasses.replace(spec.config(g, args.c, args.seed),
+                              max_outer_iters=args.max_outer_iters, alpha_cap=args.alpha_cap)
     baseline = positive_baseline(baseline_cut(g, args.c, method=args.baseline_method,
                                               sa_config=SaConfig(seed=args.baseline_seed),
                                               cache_path=args.cache), args.c)
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a graph instance")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights", choices=["unit", "uniform"], default="unit")
+    p.add_argument("--weights", choices=WEIGHT_MODES, default="unit")
     p.add_argument("--low", type=float, default=0.0)
     p.add_argument("--high", type=float, default=1.0)
     p.add_argument("--drop-prob", type=float, default=0.0)
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="classical baseline cut")
     p.add_argument("--graph", type=str, required=True)
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--method", choices=["sa", "exhaustive", "auto"], default="sa")
+    p.add_argument("--method", choices=BASELINE_METHODS, default="sa")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache", type=str, default=None)
     _add_config_flag(p)
@@ -312,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="single run, prints a JSON run record")
     p.add_argument("--graph", type=str, required=True)
     p.add_argument("--c", type=int, required=True, help="budget: nodes on the selected side")
-    p.add_argument("--alpha-mode", choices=["fixed", "iterative"], default="iterative")
+    p.add_argument("--alpha-mode", choices=MODES, default="iterative")
     p.add_argument("--alpha", type=float, default=None, help="sharpness for fixed mode")
     p.add_argument("--max-outer-iters", type=int, default=50)
     p.add_argument("--alpha-cap", type=float, default=1e16)
     p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
-    p.add_argument("--baseline-method", choices=["sa", "exhaustive", "auto"], default="sa")
+    p.add_argument("--baseline-method", choices=BASELINE_METHODS, default="sa")
     p.add_argument("--baseline-seed", type=int, default=0)
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--history", type=str, default=None, help="write per-iteration CSV here")
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an experiment plan")
     p.add_argument("--graph", type=str, default=None, help="graph file (or use --n)")
     p.add_argument("--n", type=int, default=None, help="generate a complete graph of this size")
-    p.add_argument("--weights", choices=["unit", "uniform"], default="unit")
+    p.add_argument("--weights", choices=WEIGHT_MODES, default="unit")
     p.add_argument("--low", type=float, default=0.0)
     p.add_argument("--high", type=float, default=1.0)
     p.add_argument("--drop-prob", type=float, default=0.0)
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="budget values (default: every c in [2, n/2])")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--baseline-method", choices=["sa", "exhaustive", "auto"], default="sa")
+    p.add_argument("--baseline-method", choices=BASELINE_METHODS, default="sa")
     p.add_argument("--baseline-seed", type=int, default=0)
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--records", type=str, default=None, help="JSONL output path")

@@ -64,11 +64,11 @@ class EncodingSpec:
         if self.n_vars < 1:
             raise ValueError("n_vars must be at least 1")
         if self.family == "single_pauli_mixed":
-            if self.k_range is None:
-                raise ValueError("single_pauli_mixed needs k_range=(lo, hi)")
+            if self.k_range is None or self.k is not None:
+                raise ValueError("single_pauli_mixed needs k_range=(lo, hi) and no k")
             object.__setattr__(self, "k_range", tuple(self.k_range))
-        elif self.k is None:
-            raise ValueError(f"{self.family} needs a fixed order k")
+        elif self.k is None or self.k_range is not None:
+            raise ValueError(f"{self.family} needs a fixed order k and no k_range")
         if self.family != "full_xyz" and self.pauli not in PAULI_LETTERS:
             raise ValueError(f"pauli must be one of {PAULI_LETTERS!r}")
         order = self.k if self.k is not None else self.k_range

@@ -29,6 +29,8 @@ __all__ = [
     "graph_hash",
 ]
 
+WEIGHT_MODES = ("unit", "uniform")  # edge weights of generate_complete_graph
+
 
 class GraphFormatError(ValueError):
     """A graph file is malformed or internally inconsistent."""
@@ -102,7 +104,7 @@ def generate_complete_graph(
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if weights not in ("unit", "uniform"):
+    if weights not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {weights!r}")
     if weights == "uniform" and not (0.0 <= low <= high):
         raise ValueError(f"need 0 <= low <= high, got low={low}, high={high}")

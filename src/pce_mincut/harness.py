@@ -33,8 +33,8 @@ from .solver import (
     ANSATZ_LAYOUT,
     PceConfig,
     SolveOutcome,
+    SolverSpec,
     control_config,
-    default_config,
     run_lockstep,
     solve,
     solve_pce_at_final_alpha,  # not called here; the benchmark traces this name
@@ -101,37 +101,6 @@ class GraphSource:
     def from_dict(d: dict) -> "GraphSource":
         known = {f for f in GraphSource.__dataclass_fields__}
         return GraphSource(**{k: v for k, v in d.items() if k in known})
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """One solver variant in a plan; None fields fall back to size defaults."""
-
-    label: str = "iterative"
-    mode: str = "iterative"  # "fixed" | "iterative"
-    alpha: float | None = None  # required for fixed mode, refused for iterative
-    paired_control: bool = False
-    beta: float | None = None
-    eta: float = 0.0
-    M: float | None = None
-    alpha0: float | None = None
-    update_rule: str | None = None
-    family: str = "full_xyz"
-    pauli: str = "Z"
-    k: int | None = None
-    layers: int = 1
-    optimizer: OptimizerConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "iterative"):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.mode == "fixed" and self.alpha is None:
-            raise ValueError("fixed-alpha solver needs an alpha value")
-        if self.mode == "iterative" and self.alpha is not None:
-            raise ValueError("iterative solver starts at alpha0 and takes no alpha; "
-                             "set alpha0 instead")
-        if self.paired_control and self.mode != "iterative":
-            raise ValueError("paired_control only applies to iterative solvers")
 
 
 @dataclass(frozen=True)
@@ -301,8 +270,12 @@ def make_record(
 
 
 def replay_record(record: dict) -> SolveOutcome:
-    """Re-run a record's config; the outcome must match the record bit for bit."""
+    """Re-run a record's config; the outcome must match the record bit for bit.
+    ValueError if the record's graph source now loads another graph."""
     graph = GraphSource.from_dict(record["graph"]).load()
+    if graph_hash(graph) != record["graph"]["hash"]:
+        raise ValueError(f"record ran on graph {record['graph']['hash']}, but its source "
+                         f"now loads graph {graph_hash(graph)}; it cannot be replayed")
     return solve(config_from_dict(record["config"], graph))
 
 
@@ -393,12 +366,6 @@ def _check_run_record(record: dict) -> None:
 
 # --- plan execution ----------------------------------------------------------
 
-def _build_config(graph: WeightedGraph, spec: SolverSpec, c: int, seed: int) -> PceConfig:
-    settings = {f.name: getattr(spec, f.name) for f in fields(spec)
-                if f.name not in ("label", "mode", "paired_control")}
-    return default_config(graph, c, alpha_mode=spec.mode, seed=seed, **settings)
-
-
 def _cell_seed(seed_base: int, c: int, rep: int) -> int:
     return seed_base + 1000 * c + rep
 
@@ -474,7 +441,7 @@ def run_plan(
     graph = plan.graph.load()
     graph_info = plan.graph.to_dict(graph)
     c_values = plan.resolve_c_values(graph.n)
-    configs = [(spec, c, rep, _build_config(graph, spec, c, _cell_seed(plan.seed_base, c, rep)))
+    configs = [(spec, c, rep, spec.config(graph, c, _cell_seed(plan.seed_base, c, rep)))
                for spec in plan.solvers
                for c in c_values
                for rep in range(plan.repetitions)]

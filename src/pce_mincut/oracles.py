@@ -49,6 +49,7 @@ __all__ = [
     "baseline_cut",
 ]
 
+BASELINE_METHODS = ("sa", "exhaustive", "auto")
 EXHAUSTIVE_MAX_NODES = 22
 EXHAUSTIVE_BLOCK = 1 << 14  # subsets scored at once; bounds the working set
 SA_COOLING = 0.995  # temperature factor per annealing step
@@ -289,12 +290,13 @@ def baseline_cut(
 ) -> float:
     """Baseline cut for (graph, c), optionally cached in a JSON side file.
 
-    method "sa", "exhaustive", or "auto" (exhaustive when small enough).
+    method is one of BASELINE_METHODS; "auto" is exhaustive up to
+    EXHAUSTIVE_MAX_NODES nodes and sa above.
     """
+    if method not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline method {method!r}")
     if method == "auto":
         method = "exhaustive" if g.n <= EXHAUSTIVE_MAX_NODES else "sa"
-    if method not in ("sa", "exhaustive"):
-        raise ValueError(f"unknown baseline method {method!r}")
 
     cache: dict = {}
     key = _cache_key(g, c, method, sa_config)

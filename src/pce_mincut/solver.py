@@ -23,6 +23,9 @@ driver: it serves independent runs together, sharing each step's state
 preparation, expectation kernel and loss call, and solve is run_lockstep
 over one run. Shared calls are bit-equal row for row to 1-D calls, so a
 run's outcome does not depend on the runs that share its steps.
+
+SolverSpec declares a solver variant's settings once; its config method
+builds each run's PceConfig, filling the unset ones by graph size.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ __all__ = [
     "next_alpha",
     "control_config",
     "solve_pce_at_final_alpha",
-    "default_config",
+    "SolverSpec",
+    "MODES",
+    "UPDATE_RULES",
     "CONTROL_SEED_OFFSET",
     "ANSATZ_LAYOUT",
 ]
@@ -65,6 +70,10 @@ CONTROL_SEED_OFFSET = 104729
 
 # recorded in every run record so results are self-describing
 ANSATZ_LAYOUT = "brickwork(ry+rz columns, cz bricks, qubit0=msb)"
+
+# the alpha modes, and the rules by which the iterative schedule raises alpha
+MODES = ("fixed", "iterative")
+UPDATE_RULES = ("arctanh_ratio", "large_scale")
 
 # an alpha multiplier this close to 1 makes no practical progress
 STALL_FACTOR = 1.0 + 1e-6
@@ -80,19 +89,19 @@ class PceConfig:
     # the fields after optimizer are a run record's first config keys, in order
     objective: ObjectiveSpec
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    alpha_mode: str = "fixed"  # "fixed" | "iterative"
+    alpha_mode: str = "fixed"  # a MODES entry
     seed: int = 0
     M: float = 0.90
     alpha0: float = 3.0
-    update_rule: str = "arctanh_ratio"  # | "large_scale"
+    update_rule: str = "arctanh_ratio"  # an UPDATE_RULES entry
     max_outer_iters: int = 50
     alpha_cap: float = 1e16
     layers: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha_mode not in ("fixed", "iterative"):
+        if self.alpha_mode not in MODES:
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
-        if self.update_rule not in ("arctanh_ratio", "large_scale"):
+        if self.update_rule not in UPDATE_RULES:
             raise ValueError(f"unknown update_rule {self.update_rule!r}")
         if not (0.0 < self.M < 1.0):
             raise ValueError(f"threshold M must be in (0, 1), got {self.M}")
@@ -136,66 +145,65 @@ class SolveOutcome:
     history: list[IterationRecord] | None = None
 
 
-def default_config(
-    graph,
-    c: int,
-    *,
-    alpha_mode: str = "iterative",
-    seed: int = 0,
-    alpha: float | None = None,
-    beta: float | None = None,
-    eta: float = 0.0,
-    family: str = "full_xyz",
-    pauli: str = "Z",
-    k: int | None = None,
-    layers: int = 1,
-    optimizer: OptimizerConfig | None = None,
-    M: float | None = None,
-    alpha0: float | None = None,
-    update_rule: str | None = None,
-    max_outer_iters: int = 50,
-    alpha_cap: float = 1e16,
-) -> PceConfig:
-    """PceConfig with size-dependent defaults.
+@dataclass(frozen=True)
+class SolverSpec:
+    """One solver variant of a plan; config fills its None fields by graph size."""
 
-    Order k is 2 up to 25 nodes, 3 up to 50, 4 above (the mixed family spans
-    the orders 1..k); the register is the smallest that fits n variables.
-    From 150 nodes the binarization threshold M is 0.95 and alpha0 is 1, and
-    above 25 nodes the update rule is large_scale. alpha is the sharpness of
-    a fixed run (default alpha0); iterative mode refuses it, as its schedule
-    starts at alpha0.
-    """
-    n = graph.n
-    if k is None:
-        k = 2 if n <= 25 else (3 if n <= 50 else 4)
-    key, order = ("k_range", (1, k)) if family == "single_pauli_mixed" else ("k", k)
-    enc = EncodingSpec(family, m=minimal_qubits(family, order, n), n_vars=n, pauli=pauli,
-                       **{key: order})
-    if M is None:
-        M = 0.95 if n >= 150 else 0.90
-    if alpha0 is None:
-        alpha0 = 1.0 if n >= 150 else 3.0
-    _check_alpha0(alpha0)  # before a fixed run's alpha defaults to it
-    if update_rule is None:
-        update_rule = "arctanh_ratio" if n <= 25 else "large_scale"
-    if alpha_mode == "iterative" and alpha is not None:
-        raise ValueError("iterative mode starts at alpha0 and takes no alpha; set alpha0 instead")
-    if alpha is None:
-        alpha = alpha0
-    objective = ObjectiveSpec(graph=graph, encoding=enc, alpha=alpha, c=c,
-                              beta=beta, eta=eta)
-    return PceConfig(
-        objective=objective,
-        optimizer=optimizer if optimizer is not None else OptimizerConfig(),
-        seed=seed,
-        alpha_mode=alpha_mode,
-        M=M,
-        alpha0=alpha0,
-        update_rule=update_rule,
-        max_outer_iters=max_outer_iters,
-        alpha_cap=alpha_cap,
-        layers=layers,
-    )
+    label: str = "iterative"
+    mode: str = "iterative"  # a MODES entry
+    alpha: float | None = None  # required for fixed mode, refused for iterative
+    paired_control: bool = False
+    beta: float | None = None
+    eta: float = 0.0
+    M: float | None = None
+    alpha0: float | None = None
+    update_rule: str | None = None
+    family: str = "full_xyz"
+    pauli: str = "Z"
+    k: int | None = None
+    layers: int = 1
+    optimizer: OptimizerConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"unknown solver mode {self.mode!r}")
+        if self.mode == "fixed" and self.alpha is None:
+            raise ValueError("fixed-alpha solver needs an alpha value")
+        if self.mode == "iterative" and self.alpha is not None:
+            raise ValueError("iterative solver starts at alpha0 and takes no alpha; "
+                             "set alpha0 instead")
+        if self.paired_control and self.mode != "iterative":
+            raise ValueError("paired_control only applies to iterative solvers")
+
+    def config(self, graph, c: int, seed: int = 0) -> PceConfig:
+        """The PceConfig of one run on graph at budget c, with size defaults.
+
+        Order k is 2 up to 25 nodes, 3 up to 50, 4 above (the mixed family
+        spans the orders 1..k); the register is the smallest that fits n
+        variables. From 150 nodes the binarization threshold M is 0.95 and
+        alpha0 is 1, and above 25 nodes the update rule is large_scale. An
+        iterative run's objective starts at alpha0.
+        """
+        n = graph.n
+        k = self.k if self.k is not None else (2 if n <= 25 else (3 if n <= 50 else 4))
+        key, order = ("k_range", (1, k)) if self.family == "single_pauli_mixed" else ("k", k)
+        enc = EncodingSpec(self.family, m=minimal_qubits(self.family, order, n), n_vars=n,
+                           pauli=self.pauli, **{key: order})
+        alpha0 = self.alpha0 if self.alpha0 is not None else (1.0 if n >= 150 else 3.0)
+        _check_alpha0(alpha0)  # before the objective of an iterative run takes it
+        objective = ObjectiveSpec(graph=graph, encoding=enc, c=c, beta=self.beta, eta=self.eta,
+                                  alpha=alpha0 if self.alpha is None else self.alpha)
+        return PceConfig(
+            objective=objective,
+            optimizer=self.optimizer if self.optimizer is not None else OptimizerConfig(),
+            alpha_mode=self.mode,
+            seed=seed,
+            M=self.M if self.M is not None else (0.95 if n >= 150 else 0.90),
+            alpha0=alpha0,
+            update_rule=self.update_rule if self.update_rule is not None else (
+                "arctanh_ratio" if n <= 25 else "large_scale"),
+            layers=self.layers,
+        )
 
 
 def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> float:
@@ -208,7 +216,7 @@ def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> flo
     """
     if not (0.0 < M < 1.0):
         raise ValueError(f"threshold M must be in (0, 1), got {M}")
-    if rule not in ("arctanh_ratio", "large_scale"):
+    if rule not in UPDATE_RULES:
         raise ValueError(f"unknown update_rule {rule!r}")
     mags = np.abs(np.asarray(soft, dtype=float))
     below = np.flatnonzero(mags < M)

@@ -35,7 +35,7 @@ from pce_mincut.objective import (
 from pce_mincut.optimize import OptimizerConfig
 from pce_mincut.oracles import SaConfig, exhaustive_best, sa_solve
 from pce_mincut.quantum import ExpectationKernel, parameter_count, prepare_state
-from pce_mincut.solver import default_config, solve
+from pce_mincut.solver import solve
 
 # about 95% of the suite's wall time; `pytest -m "not slow"` leaves it out
 pytestmark = pytest.mark.slow
@@ -202,7 +202,7 @@ def test_criterion_7_alpha_sweep():
         bins = []
         for c in (2, 3):
             for seed in range(5):
-                cfg = default_config(g, c, alpha_mode="fixed", alpha=alpha, seed=seed)
+                cfg = SolverSpec(mode="fixed", alpha=alpha).config(g, c, seed)
                 bins.append(binarization(solve(cfg).soft))
         means[alpha] = float(np.mean(bins))
     gap = means[100.0] - means[4.0]
@@ -224,7 +224,7 @@ def test_criterion_9_iteration_count_sanity():
     with ProcessPoolExecutor(max_workers=2) as pool:
         solves = {
             (n, seed): pool.submit(solve,
-                                   default_config(generate_complete_graph(n), 2, seed=seed))
+                                   SolverSpec().config(generate_complete_graph(n), 2, seed))
             for n, seed in reversed(cases)
         }
     checked = []

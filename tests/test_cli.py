@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,14 @@ import pytest
 
 import pce_mincut.harness as harness_mod
 import pce_mincut.solver as solver_mod
-from pce_mincut.cli import _apply_config, _plan_from_args, build_parser, main
+from pce_mincut.cli import (
+    _SOLVER_ONLY_FLAGS,
+    _apply_config,
+    _plan_from_args,
+    _subcommand_flags,
+    build_parser,
+    main,
+)
 from pce_mincut.graph import read_graph
 from pce_mincut.harness import RUN_COLUMNS, SolverSpec
 from pce_mincut.optimize import OptimizerConfig
@@ -174,13 +182,20 @@ def test_solve_exits_in_one_line_on_an_alpha_cap_below_alpha0(tmp_path):
 def test_solve_exits_in_one_line_on_a_non_finite_alpha0(tmp_path):
     graph = tmp_path / "g.json"
     run_cli("generate", "--n", 6, "--out", graph)
-    for mode in ("iterative", "fixed"):
+    for mode_flags in (["--alpha-mode", "iterative"], ["--alpha-mode", "fixed", "--alpha", 5]):
         with pytest.raises(SystemExit) as exc_info:
-            run_cli("solve", "--graph", graph, "--c", 2, "--alpha-mode", mode,
-                    "--alpha0", "nan")
+            run_cli("solve", "--graph", graph, "--c", 2, *mode_flags, "--alpha0", "nan")
         message = str(exc_info.value)
         assert message.startswith("solve: alpha0 must be")
         assert "\n" not in message
+
+
+def test_every_solver_setting_has_a_value_rule():
+    # a solvers entry key without a bench flag or a _SOLVER_ONLY_FLAGS rule
+    # would reach _check_solvers' flags[key] as a KeyError traceback
+    rules = set(_subcommand_flags("bench")) | set(_SOLVER_ONLY_FLAGS)
+    settings = {f.name for f in dataclasses.fields(SolverSpec)} - {"optimizer"}
+    assert settings <= rules, settings - rules
 
 
 def test_bench_exits_in_one_line_on_a_flag_out_of_range():
@@ -261,8 +276,10 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
      "{tmp}/cache.json: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
     ("bench --config {tmp}/twins.json --n 4 --reps 2",
      "bench: two solvers of the plan label their runs 'iterative'"),
+    ("solve --graph {tmp}/k4.json --c 2 --alpha-mode fixed",
+     "solve: fixed-alpha solver needs an alpha value"),
 ], ids=["bench-graph-file", "solve-graph-file", "c-values", "baseline-c", "cache", "records",
-        "config-list", "config-not-json", "solver-labels"])
+        "config-list", "config-not-json", "solver-labels", "fixed-without-alpha"])
 def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.txt").write_text("0 1 1.0\n1 x 2.0\n")
     (tmp_path / "cache.json").write_text("not json\n")

@@ -53,6 +53,16 @@ def test_capacity_rejects_bad_order():
         capacity("single_pauli", 3, 0)
 
 
+@pytest.mark.parametrize("family, order, match", [
+    ("single_pauli_mixed", {"k": 2, "k_range": (1, 2)}, "and no k$"),
+    ("full_xyz", {"k": 2, "k_range": (1, 5)}, "and no k_range$"),
+    ("single_pauli", {"k": 2, "k_range": (1, 2)}, "and no k_range$"),
+])
+def test_spec_refuses_the_other_familys_order(family, order, match):
+    with pytest.raises(ValueError, match=match):
+        EncodingSpec(family, m=3, n_vars=3, **order)
+
+
 def test_minimal_qubits_examples():
     assert minimal_qubits("full_xyz", 2, 6) == 3
     assert minimal_qubits("full_xyz", 2, 18) == 4

@@ -7,7 +7,7 @@ import pytest
 
 import pce_mincut.solver as solver_mod
 
-from pce_mincut.graph import generate_complete_graph
+from pce_mincut.graph import generate_complete_graph, write_graph
 from pce_mincut.encoding import enumerate_strings
 from pce_mincut.harness import (
     ExperimentPlan,
@@ -32,7 +32,6 @@ from pce_mincut.oracles import baseline_cut
 from pce_mincut.quantum import ExpectationKernel, numerics, parameter_count, prepare_state
 from pce_mincut.solver import (
     control_config,
-    default_config,
     solve,
     solve_pce_at_final_alpha,
 )
@@ -318,6 +317,16 @@ def test_a_lockstep_plan_at_m8_replays_every_record():
         assert outcome_to_dict(replay_record(rec)) == rec["outcome"]
 
 
+def test_replay_refuses_a_record_whose_graph_file_changed(tmp_path):
+    rec = read_records(V0_2_0_RECORDS)[0]
+    path = tmp_path / "g.json"
+    write_graph(generate_complete_graph(6, weights="uniform", seed=1), path)
+    rec["graph"] = {"kind": "file", "path": str(path), "hash": rec["graph"]["hash"], "nodes": 6}
+    with pytest.raises(ValueError, match=r"ran on graph 3f7b274ed31c1ee4, but its source "
+                                         r"now loads graph [0-9a-f]{16}; it cannot be replayed"):
+        replay_record(rec)
+
+
 def test_replay_refuses_a_v0_1_0_record_whose_path_moved():
     # n in [51, 105] puts the register at m=7, which 0.1.0 prepared on the
     # kron path and this code prepares on the split path
@@ -349,7 +358,7 @@ def test_replay_refuses_an_edited_numerics_tag():
 
 def test_untagged_config_above_m7_is_taken_to_have_run_the_perm_kernel():
     graph = generate_complete_graph(250)  # m=9
-    d = config_to_dict(default_config(graph, 2))
+    d = config_to_dict(SolverSpec().config(graph, 2))
     assert d.pop("numerics") == "prepare=split;kernel=wht"
     with pytest.raises(ValueError, match="numerics 'prepare=sweep;kernel=perm', "
                                          "but this code runs 'prepare=split;kernel=wht' at m=9"):
@@ -494,8 +503,8 @@ def sequential_lockstep_records():
         for c in plan.c_values:
             baseline = baseline_cut(g, c, method="exhaustive")
             for rep in range(plan.repetitions):
-                cfg = default_config(g, c, seed=1000 * c + rep, family=spec.family,
-                                     k=spec.k, optimizer=FAST)
+                cfg = SolverSpec(family=spec.family, k=spec.k,
+                                 optimizer=FAST).config(g, c, 1000 * c + rep)
                 pair_id = f"{spec.label}-c{c}-r{rep}"
                 out = solve(cfg)
                 ctrl = solve_pce_at_final_alpha(out, cfg)
@@ -523,7 +532,7 @@ def test_a_failing_run_gives_its_error_record_in_place(
     # NaN at the first evaluation of the xyz run with seed 2001 (c=2, rep=1):
     # its start angles give expectations no other run evaluates
     g = small_plan().graph.load()
-    enc = default_config(g, 2).objective.encoding
+    enc = SolverSpec().config(g, 2).objective.encoding
     e0 = ExpectationKernel(enumerate_strings(enc))(
         prepare_state(enc.m, random_init(parameter_count(enc.m), 2001)))
     real_loss = solver_mod.loss

@@ -14,7 +14,7 @@ from pce_mincut.optimize import (
     random_init,
 )
 from pce_mincut.quantum import ExpectationKernel, parameter_count, prepare_state
-from pce_mincut.solver import default_config
+from pce_mincut.solver import SolverSpec
 
 
 def quadratic(x):
@@ -145,7 +145,7 @@ def evaluations(objective):
 
 
 def pce_loss_k6():
-    cfg = default_config(generate_complete_graph(6), 3, alpha_mode="fixed", seed=0)
+    cfg = SolverSpec(mode="fixed", alpha=3.0).config(generate_complete_graph(6), 3, 0)
     spec = cfg.objective
     m = spec.encoding.m
     kernel = ExpectationKernel(enumerate_strings(spec.encoding))

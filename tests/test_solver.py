@@ -12,7 +12,7 @@ from pce_mincut.quantum import parameter_count
 from pce_mincut.solver import (
     CONTROL_SEED_OFFSET,
     PceConfig,
-    default_config,
+    SolverSpec,
     next_alpha,
     solve,
     solve_pce_at_final_alpha,
@@ -66,7 +66,7 @@ def test_solve_pce_k3_feasible_cut_is_two(k3):
     # every 1:2 split of unit K3 cuts weight 2; fixed-alpha runs may still
     # land infeasible (that failure mode motivates the iterative schedule)
     outcomes = [
-        solve(default_config(k3, 1, alpha_mode="fixed", alpha=100.0, seed=s))
+        solve(SolverSpec(mode="fixed", alpha=100.0).config(k3, 1, s))
         for s in range(4)
     ]
     feasible = [o for o in outcomes if o.feasible]
@@ -75,7 +75,7 @@ def test_solve_pce_k3_feasible_cut_is_two(k3):
 
 
 def test_solve_pce_deterministic(k6):
-    cfg = default_config(k6, 2, alpha_mode="fixed", alpha=50.0, seed=11, optimizer=FAST)
+    cfg = SolverSpec(mode="fixed", alpha=50.0, optimizer=FAST).config(k6, 2, 11)
     a, b = solve(cfg), solve(cfg)
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.theta_final, b.theta_final)
@@ -84,15 +84,14 @@ def test_solve_pce_deterministic(k6):
 
 
 def test_small_alpha_cannot_binarize(k6):
-    out = solve(default_config(k6, 2, alpha_mode="fixed", alpha=0.1, seed=0,
-                               optimizer=FAST))
+    out = solve(SolverSpec(mode="fixed", alpha=0.1, optimizer=FAST).config(k6, 2, 0))
     assert binarization(out.soft) == 0.0
     assert np.max(np.abs(out.soft)) <= math.tanh(0.1) + 1e-12
 
 
 def test_solve_iterative_k6(k6):
     for seed in range(3):
-        out = solve(default_config(k6, 3, seed=seed))
+        out = solve(SolverSpec().config(k6, 3, seed))
         assert out.feasible
         assert out.cut == 9.0  # every 3:3 split of unit K6
         assert not out.capped
@@ -101,7 +100,7 @@ def test_solve_iterative_k6(k6):
 
 
 def test_terminal_binarization(k6):
-    cfg = default_config(k6, 2, seed=1)
+    cfg = SolverSpec().config(k6, 2, 1)
     out = solve(cfg)
     if not out.capped and out.outer_iters < cfg.max_outer_iters:
         assert np.all(np.abs(out.soft) >= cfg.M)
@@ -109,7 +108,7 @@ def test_terminal_binarization(k6):
 
 
 def test_alpha_sequence_strictly_increases(k6):
-    cfg = default_config(k6, 2, seed=3, update_rule="large_scale")
+    cfg = SolverSpec(update_rule="large_scale").config(k6, 2, 3)
     out = solve(cfg)
     alphas = [h.alpha for h in out.history]
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
@@ -118,7 +117,7 @@ def test_alpha_sequence_strictly_increases(k6):
 
 
 def test_history_minus_counts_and_evals(k6):
-    out = solve(default_config(k6, 2, seed=5))
+    out = solve(SolverSpec().config(k6, 2, 5))
     assert sum(h.evals for h in out.history) == out.inner_evals
     for h in out.history:
         assert 0 <= h.minus_count <= 6
@@ -129,14 +128,14 @@ def test_history_minus_counts_and_evals(k6):
 def test_every_prepared_state_is_an_evaluation(k6, prepared_rows):
     # an inner run ends at the expectations of its best evaluation; no state
     # is prepared again to read them
-    out = solve(default_config(k6, 2, seed=3, optimizer=FAST))
+    out = solve(SolverSpec(optimizer=FAST).config(k6, 2, 3))
     assert out.outer_iters > 1
     assert sum(prepared_rows) == out.inner_evals
 
 
 def test_a_non_finite_loss_raises_with_its_parameters(k6, monkeypatch):
     monkeypatch.setattr(solver_mod, "loss", lambda spec, e: math.nan)
-    cfg = default_config(k6, 2, seed=5, optimizer=FAST)
+    cfg = SolverSpec(optimizer=FAST).config(k6, 2, 5)
     with pytest.raises(EvaluationError) as exc_info:
         solve(cfg)
     start = random_init(parameter_count(cfg.objective.encoding.m, cfg.layers), cfg.seed)
@@ -155,14 +154,14 @@ def test_warm_start_chains_theta(k6, monkeypatch):
         return res
 
     monkeypatch.setattr(solver_mod, "nelder_mead", recording_nelder_mead)
-    out = solve(default_config(k6, 2, seed=7, optimizer=FAST))
+    out = solve(SolverSpec(optimizer=FAST).config(k6, 2, 7))
     assert len(starts) == out.outer_iters
     for t in range(1, len(starts)):
         assert np.array_equal(starts[t], finals[t - 1])
 
 
 def test_iterative_deterministic(k6):
-    cfg = default_config(k6, 3, seed=2, optimizer=FAST)
+    cfg = SolverSpec(optimizer=FAST).config(k6, 3, 2)
     a, b = solve(cfg), solve(cfg)
     assert np.array_equal(a.z, b.z)
     assert a.final_alpha == b.final_alpha
@@ -173,7 +172,7 @@ def test_iterative_deterministic(k6):
 def test_alpha_cap_flags_outcome(k6):
     # a cap below the first update forces capped termination after one
     # final inner run executed exactly at the cap value
-    cfg = default_config(k6, 2, seed=0, optimizer=FAST, alpha_cap=4.0)
+    cfg = replace(SolverSpec(optimizer=FAST).config(k6, 2, 0), alpha_cap=4.0)
     out = solve(cfg)
     if out.capped:
         assert out.final_alpha == 4.0
@@ -184,14 +183,14 @@ def test_alpha_cap_flags_outcome(k6):
 
 
 def test_max_outer_iters_respected(k6):
-    cfg = default_config(k6, 2, seed=0, optimizer=OptimizerConfig(max_evals=60),
-                         max_outer_iters=3)
+    cfg = replace(SolverSpec(optimizer=OptimizerConfig(max_evals=60)).config(k6, 2, 0),
+                  max_outer_iters=3)
     out = solve(cfg)
     assert out.outer_iters <= 3
 
 
 def test_control_run_pairs_with_iterative(k6):
-    cfg = default_config(k6, 2, seed=9, optimizer=FAST)
+    cfg = SolverSpec(optimizer=FAST).config(k6, 2, 9)
     out = solve(cfg)
     ctrl = solve_pce_at_final_alpha(out, cfg)
     assert ctrl.outer_iters == 1
@@ -218,24 +217,24 @@ def test_control_run_pairs_with_iterative(k6):
 
 
 def test_solve_dispatch(k6):
-    fixed = default_config(k6, 2, alpha_mode="fixed", alpha=10.0, seed=0, optimizer=FAST)
-    iterative = default_config(k6, 2, seed=0, optimizer=FAST)
+    fixed = SolverSpec(mode="fixed", alpha=10.0, optimizer=FAST).config(k6, 2, 0)
+    iterative = SolverSpec(optimizer=FAST).config(k6, 2, 0)
     assert solve(fixed).outer_iters == 1
     assert solve(iterative).history is not None
 
 
 def test_config_validation(k6):
     with pytest.raises(ValueError):
-        default_config(k6, 2, M=1.5)
+        SolverSpec(M=1.5).config(k6, 2)
     with pytest.raises(ValueError):
-        default_config(k6, 2, alpha0=-1.0)
+        SolverSpec(alpha0=-1.0).config(k6, 2)
     with pytest.raises(ValueError):
-        default_config(k6, 2, update_rule="exponential")
+        SolverSpec(update_rule="exponential").config(k6, 2)
     with pytest.raises(ValueError):
-        default_config(k6, 2, alpha_mode="sharp")
+        SolverSpec(mode="sharp")
     # the schedule starts at alpha0; an alpha it never runs must not be recorded
     with pytest.raises(ValueError, match="alpha0"):
-        default_config(k6, 2, alpha_mode="iterative", alpha=50.0)
+        SolverSpec(mode="iterative", alpha=50.0)
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -247,9 +246,10 @@ def test_config_validation(k6):
     ({"alpha_cap": math.inf}, "alpha_cap"),
 ])
 def test_degenerate_schedule_inputs_are_refused(k6, kwargs, field):
-    cfg = default_config(k6, 2)
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        default_config(k6, 2, **kwargs)
+    cfg = SolverSpec().config(k6, 2)
+    if field == "alpha0":  # alpha_cap is no solver setting; only replace sets it
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverSpec(**kwargs).config(k6, 2)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         replace(cfg, **kwargs)
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -257,16 +257,15 @@ def test_degenerate_schedule_inputs_are_refused(k6, kwargs, field):
 
 
 def test_alpha_cap_only_bounds_iterative_runs(k6):
-    cfg = default_config(k6, 2, alpha_mode="fixed", alpha=10.0, alpha_cap=1.0)
+    cfg = replace(SolverSpec(mode="fixed", alpha=10.0).config(k6, 2), alpha_cap=1.0)
     assert cfg.alpha_cap == 1.0
-    assert default_config(k6, 2, alpha_cap=3.0).alpha_cap == cfg.alpha0 == 3.0
+    assert replace(SolverSpec().config(k6, 2), alpha_cap=3.0).alpha_cap == cfg.alpha0 == 3.0
 
 
 def test_fixed_run_is_the_first_step_of_the_schedule(k6):
-    fixed = solve(default_config(k6, 2, alpha_mode="fixed", alpha=30.0, seed=4,
-                                 optimizer=FAST))
-    first = solve(default_config(k6, 2, alpha0=30.0, seed=4, optimizer=FAST,
-                                 max_outer_iters=1))
+    fixed = solve(SolverSpec(mode="fixed", alpha=30.0, optimizer=FAST).config(k6, 2, 4))
+    first = solve(replace(SolverSpec(alpha0=30.0, optimizer=FAST).config(k6, 2, 4),
+                          max_outer_iters=1))
     assert np.array_equal(fixed.theta_final, first.theta_final)
     assert np.array_equal(fixed.z, first.z)
     assert fixed.inner_evals == first.inner_evals
@@ -274,11 +273,11 @@ def test_fixed_run_is_the_first_step_of_the_schedule(k6):
     assert fixed.history is None and fixed.outer_iters == 1
 
 
-def test_default_config_size_rules():
+def test_solver_spec_size_rules():
     for n, k, m, rule in ((6, 2, 3, "arctanh_ratio"), (25, 2, 5, "arctanh_ratio"),
                           (50, 3, 6, "large_scale")):
         g = generate_complete_graph(n)
-        cfg = default_config(g, 2)
+        cfg = SolverSpec().config(g, 2)
         assert cfg.objective.encoding.k == k
         assert cfg.objective.encoding.m == m
         assert cfg.update_rule == rule
