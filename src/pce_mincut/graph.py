@@ -1,7 +1,7 @@
 """Weighted graphs for budget-constrained minimum-cut instances.
 
-Graphs are undirected with non-negative edge weights, stored as a dense
-symmetric matrix (benchmark instances are complete, so sparsity buys
+Graphs are undirected with finite, non-negative edge weights, stored as a
+dense symmetric matrix (benchmark instances are complete, so sparsity buys
 nothing). Node indices are 0-based everywhere, including files.
 
 Cut assignments are plain length-n integer vectors with entries in
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -48,6 +49,8 @@ class WeightedGraph:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
         if w.shape[0] < 2:
             raise ValueError("a graph needs at least 2 nodes")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be symmetric")
         if np.any(np.diagonal(w) != 0.0):
@@ -195,6 +198,8 @@ def _insert_edge(w: np.ndarray, seen: dict, i: int, j: int, val: float, where: s
         raise GraphFormatError(f"{where}: node index out of range for n={n}")
     if i == j:
         raise GraphFormatError(f"{where}: self-loop on node {i}")
+    if not math.isfinite(val):
+        raise GraphFormatError(f"{where}: weight {val} is not finite")
     if val < 0:
         raise GraphFormatError(f"{where}: negative weight {val}")
     key = (min(i, j), max(i, j))

@@ -1,9 +1,15 @@
 """Classical reference solvers for size-constrained minimum cuts.
 
 exhaustive_best enumerates every size-c subset and is the ground truth for
-small instances. It unranks the subsets in lexicographic order into blocks
-of at most EXHAUSTIVE_BLOCK index rows and scores a block at once, so its
-working set is bounded by the block, not by C(n, c). Ties keep the
+small instances. It scores the subsets as +-1 rows (-1 on the subset) in
+lexicographic order, in blocks of at most EXHAUSTIVE_BLOCK rows, so its
+working set is bounded by the block, not by C(n, c). A block is built by
+copying rows from two tables. The first n//2 nodes form the high half and
+the rest the low half; with node 0 at the top bit, lexicographic order is
+"high mask descending, then low mask descending". So the subsets come in
+groups: one high-half row, beside every low-half row of the popcount that
+completes c, in descending order. Each group is copied by slice into one
+(EXHAUSTIVE_BLOCK, n) buffer, reused from block to block. Ties keep the
 lexicographically smallest optimum: argmin takes a block's first minimum,
 and a later block replaces the best only when strictly smaller.
 
@@ -88,29 +94,55 @@ def _subset_to_z(n: int, minus_nodes) -> np.ndarray:
     return z
 
 
-def _subset_blocks(n: int, c: int, size: int):
-    """The c-subsets of range(n) in lexicographic order, as (rows, c) blocks of
-    node indices with at most `size` rows each."""
-    # binom[k][j] = C(j, k): the k-subsets of the last j nodes
-    binom = [np.array([math.comb(j, k) for j in range(n + 1)]) for k in range(c + 1)]
-    total = math.comb(n, c)
-    for start in range(0, total, size):
-        # left: per rank, the subsets from it to the last, itself included.
-        # Position p takes node n - j for the smallest j whose last j nodes
-        # still hold `left` (c-p)-subsets; those that skip the node go off left.
-        left = total - np.arange(start, min(start + size, total))
-        block = np.empty((left.size, c), dtype=np.int8)  # n <= EXHAUSTIVE_MAX_NODES
-        for p in range(c):
-            counts = binom[c - p]
-            j = np.searchsorted(counts, left)
-            block[:, p] = n - j
-            left -= counts[j - 1]
-        yield block
+def _sign_table(bits: int) -> np.ndarray:
+    """(2**bits, bits) table: row r holds +-1 per node, -1 where mask r has
+    the node's bit set; the half's first node is the top bit."""
+    masks = np.arange(1 << bits)[:, None]
+    shifts = np.arange(bits - 1, -1, -1)
+    return 1.0 - 2.0 * ((masks >> shifts) & 1)
+
+
+def _sign_blocks(n: int, c: int, size: int):
+    """The c-subsets of range(n) in lexicographic order, as (rows, n) blocks
+    of +-1 rows with -1 on the subset and at most `size` rows each.
+
+    Each block is a view of one buffer, which the next block overwrites.
+    """
+    h = n // 2
+    high = _sign_table(h)
+    low = _sign_table(n - h)
+    high_count = (high < 0).sum(axis=1)
+    low_count = (low < 0).sum(axis=1)
+    # the low rows of each popcount, masks descending
+    low_rows = [low[np.flatnonzero(low_count == q)[::-1]] for q in range(n - h + 1)]
+    buf = np.empty((min(size, math.comb(n, c)), n))
+    fill = 0
+    for mask in range(len(high) - 1, -1, -1):
+        q = c - int(high_count[mask])
+        if not 0 <= q <= n - h:
+            continue
+        rows = low_rows[q]
+        start = 0
+        while start < len(rows):  # a group may straddle blocks
+            take = min(len(rows) - start, size - fill)
+            buf[fill:fill + take, :h] = high[mask]
+            buf[fill:fill + take, h:] = rows[start:start + take]
+            fill += take
+            start += take
+            if fill == size:
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
 
 
 def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
     """Exact minimum over all c : n-c splits; ties keep the lexicographically
-    smallest set of selected nodes."""
+    smallest set of selected nodes.
+
+    One matrix product scores each block of at most EXHAUSTIVE_BLOCK +-1
+    rows, copied from two half-register sign tables (see the module docstring).
+    """
     n = g.n
     _check_c(n, c)
     if n > EXHAUSTIVE_MAX_NODES:
@@ -120,20 +152,18 @@ def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
     w = g.weights
     wsum = w.sum()
     best_cut = math.inf
-    best_subset: np.ndarray | None = None
-    rows = np.arange(EXHAUSTIVE_BLOCK)[:, None]
-    for block in _subset_blocks(n, c, EXHAUSTIVE_BLOCK):
-        zmat = np.ones((len(block), n))
-        zmat[rows[: len(block)], block] = -1.0
-        cuts = 0.25 * (wsum - np.einsum("ai,ai->a", zmat @ w, zmat))
+    best_z: np.ndarray | None = None
+    zw = np.empty((min(EXHAUSTIVE_BLOCK, math.comb(n, c)), n))
+    for z in _sign_blocks(n, c, EXHAUSTIVE_BLOCK):
+        block_zw = np.matmul(z, w, out=zw[: len(z)])
+        cuts = 0.25 * (wsum - np.einsum("ai,ai->a", block_zw, z))
         # argmin keeps a block's first minimum and the strict < an earlier
         # block's, so the lexicographically smallest optimum wins
         i = int(np.argmin(cuts))
         if cuts[i] < best_cut:
             best_cut = float(cuts[i])
-            best_subset = block[i].copy()
-    z = _subset_to_z(n, best_subset)
-    return OracleResult(z=z, cut=cut_size(g, z), optimal=True)
+            best_z = z[i].astype(int)
+    return OracleResult(z=best_z, cut=cut_size(g, best_z), optimal=True)
 
 
 def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResult:
@@ -256,6 +286,8 @@ def _first_downhill(nodes, ii, jj, to_minus, deg, w):
 
 def normalized_cut(pce_cut: float, baseline_cut: float) -> float:
     """Cut size relative to the classical baseline for the same (graph, c)."""
+    if not math.isfinite(baseline_cut):
+        raise ValueError(f"baseline cut must be finite, got {baseline_cut}")
     if baseline_cut <= 0.0:
         raise ValueError(
             f"baseline cut must be positive, got {baseline_cut} (degenerate instance)"
@@ -264,7 +296,10 @@ def normalized_cut(pce_cut: float, baseline_cut: float) -> float:
 
 
 def positive_baseline(value: float, c: int) -> float:
-    """value, if it can normalize cuts; ValueError naming c if it is not positive."""
+    """value, if it can normalize cuts; ValueError naming c if it is not
+    finite or not positive."""
+    if not math.isfinite(value):
+        raise ValueError(f"baseline cut for c={c} is {value}; it must be finite")
     if value <= 0.0:
         raise ValueError(f"baseline cut for c={c} is {value}; it must be positive "
                          "(degenerate instance)")

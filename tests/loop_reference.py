@@ -9,7 +9,11 @@ iteration. All four do the same arithmetic,
 element by element and in the same order, as the vectorized code in the
 package, so the tests require equal bytes, not a tolerance.
 `exhaustive_best` scores `itertools.combinations` tuples in chunks with a
-three-operand einsum, and `sa_solve` steps on numpy scalars, one step at a
+three-operand einsum, and `sign_blocks` unranks each block of lexicographic
+c-subsets with one `searchsorted` pass per position and fills its +-1 rows by
+fancy indexing, as the package did before it copied rows from two
+half-register tables; the package's blocks must equal its blocks byte for
+byte. `sa_solve` steps on numpy scalars, one step at a
 time at every temperature; the package oracles must return the same
 assignment bytes and cut. `sa_solve` can also record each step's decision,
 so tests can check which blocks the package's cold phase scores. `minimize`
@@ -294,6 +298,35 @@ def exhaustive_best(g, c):
             best_subset = chunk[i]
     z = _subset_to_z(n, best_subset)
     return OracleResult(z=z, cut=cut_size(g, z), optimal=True)
+
+
+def subset_blocks(n, c, size):
+    """The c-subsets of range(n) in lexicographic order, as (rows, c) blocks of
+    node indices with at most `size` rows each."""
+    # binom[k][j] = C(j, k): the k-subsets of the last j nodes
+    binom = [np.array([math.comb(j, k) for j in range(n + 1)]) for k in range(c + 1)]
+    total = math.comb(n, c)
+    for start in range(0, total, size):
+        # left: per rank, the subsets from it to the last, itself included.
+        # Position p takes node n - j for the smallest j whose last j nodes
+        # still hold `left` (c-p)-subsets; those that skip the node go off left.
+        left = total - np.arange(start, min(start + size, total))
+        block = np.empty((left.size, c), dtype=np.int8)
+        for p in range(c):
+            counts = binom[c - p]
+            j = np.searchsorted(counts, left)
+            block[:, p] = n - j
+            left -= counts[j - 1]
+        yield block
+
+
+def sign_blocks(n, c, size):
+    """The blocks of `subset_blocks` as +-1 rows, -1 on the subset."""
+    rows = np.arange(size)[:, None]
+    for block in subset_blocks(n, c, size):
+        zmat = np.ones((len(block), n))
+        zmat[rows[: len(block)], block] = -1.0
+        yield zmat
 
 
 def sa_solve(g, c, cfg=SaConfig(), trace=None):

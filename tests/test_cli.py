@@ -294,6 +294,15 @@ def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     assert "\n" not in text
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+def test_a_non_finite_weight_exits_in_one_line(tmp_path, weight):
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"0 1 1.0\n1 2 {weight}\n")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("baseline", "--graph", graph, "--c", 1, "--method", "sa")
+    assert str(exc_info.value) == f"baseline: {graph}:2: weight {weight} is not finite"
+
+
 @pytest.mark.parametrize("flags, message", [
     ("--M 1.5", "threshold M must be in (0, 1), got 1.5"),
     ("--max-evals 5", "max_evals=5 cannot even build a simplex in 18-D"),

@@ -65,6 +65,27 @@ def test_weighted_graph_validation():
         WeightedGraph(np.zeros((1, 1)))  # too small
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_weighted_graph_refuses_a_non_finite_weight(value):
+    w = np.ones((4, 4)) - np.eye(4)
+    w[0, 1] = w[1, 0] = value
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        WeightedGraph(w)
+
+
+@pytest.mark.parametrize("name, content, where, value", [
+    ("g.txt", "0 1 1.0\n0 2 inf\n", "g.txt:2", "inf"),
+    ("g.txt", "0 1 nan\n", "g.txt:1", "nan"),
+    ("g.json", '{"n": 3, "edges": [[0, 1, 1.0], [1, 2, Infinity]]}', r"g.json: edges\[1\]", "inf"),
+    ("g.json", '{"n": 3, "edges": [[0, 1, NaN]]}', r"g.json: edges\[0\]", "nan"),
+])
+def test_a_non_finite_weight_in_a_file_names_its_place(tmp_path, name, content, where, value):
+    p = tmp_path / name
+    p.write_text(content)
+    with pytest.raises(GraphFormatError, match=f"{where}: weight {value} is not finite$"):
+        read_graph(p)
+
+
 def test_weights_are_immutable(k3):
     with pytest.raises(ValueError):
         k3.weights[0, 1] = 5.0

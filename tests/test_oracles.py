@@ -1,5 +1,8 @@
+import itertools
 import json
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from pce_mincut.oracles import (
     baseline_cut,
     exhaustive_best,
     normalized_cut,
+    positive_baseline,
     sa_solve,
 )
 
@@ -122,6 +126,42 @@ def test_exhaustive_at_the_largest_n_with_one_block():
     g = generate_complete_graph(22, weights="uniform", seed=5, low=0.1, high=1.0)
     assert 22 < oracles.EXHAUSTIVE_BLOCK  # c=1 has 22 subsets
     _same_answer(exhaustive_best(g, 1), loop_reference.exhaustive_best(g, 1))
+
+
+def _same_blocks(n, c, size):
+    pairs = itertools.zip_longest(oracles._sign_blocks(n, c, size),
+                                  loop_reference.sign_blocks(n, c, size))
+    for count, (got, want) in enumerate(pairs, start=1):
+        assert got is not None and want is not None, f"block {count} is missing on one side"
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), f"block {count} differs"
+    assert count == math.ceil(math.comb(n, c) / size)
+
+
+@pytest.mark.parametrize("n", range(2, 23))
+def test_sign_blocks_match_the_unranker_at_the_default_block(n):
+    for c in range(1, n // 2 + 1):
+        _same_blocks(n, c, oracles.EXHAUSTIVE_BLOCK)
+
+
+@pytest.mark.parametrize("size", [3, 7])
+def test_sign_blocks_match_the_unranker_when_blocks_split_a_group(size):
+    # groups of one high-half row hold up to C(7, 3) = 35 rows at n=14, so
+    # block edges fall inside groups as well as between them
+    for n in range(2, 15):
+        for c in range(1, n // 2 + 1):
+            _same_blocks(n, c, size)
+
+
+def test_exhaustive_working_set_is_bounded_by_the_block():
+    g = generate_complete_graph(22, weights="uniform", seed=6, low=0.1, high=1.0)
+    tracemalloc.start()
+    try:
+        exhaustive_best(g, 11)  # C(22, 11) = 705,432 subsets in 44 blocks
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * oracles.EXHAUSTIVE_BLOCK * g.n * 8
 
 
 @pytest.mark.parametrize("n, c, cfg", [
@@ -300,6 +340,14 @@ def test_normalized_cut():
     assert normalized_cut(7.5, 7.5) == 1.0
     with pytest.raises(ValueError):
         normalized_cut(1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_baseline_that_is_not_finite_is_refused(value):
+    with pytest.raises(ValueError, match=f"^baseline cut for c=2 is {value}; it must be finite$"):
+        positive_baseline(value, 2)
+    with pytest.raises(ValueError, match=f"^baseline cut must be finite, got {value}$"):
+        normalized_cut(1.0, value)
 
 
 def test_baseline_cache(tmp_path, k6):
