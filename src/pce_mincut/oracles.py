@@ -1,17 +1,28 @@
 """Classical reference solvers for size-constrained minimum cuts.
 
 exhaustive_best enumerates every size-c subset and is the ground truth for
-small instances. It scores the subsets as +-1 rows (-1 on the subset) in
-lexicographic order, in blocks of at most EXHAUSTIVE_BLOCK rows, so its
-working set is bounded by the block, not by C(n, c). A block is built by
-copying rows from two tables. The first n//2 nodes form the high half and
-the rest the low half; with node 0 at the top bit, lexicographic order is
-"high mask descending, then low mask descending". So the subsets come in
-groups: one high-half row, beside every low-half row of the popcount that
-completes c, in descending order. Each group is copied by slice into one
-(EXHAUSTIVE_BLOCK, n) buffer, reused from block to block. Ties keep the
-lexicographically smallest optimum: argmin takes a block's first minimum,
-and a later block replaces the best only when strictly smaller.
+small instances. A subset is a +-1 vector z (-1 on the subset), and its cut
+is (sum(W) - z'Wz) / 4. Split z into a high half z_h (the first n//2 nodes)
+and a low half z_l (the rest); then
+z'Wz = z_h'W_hh z_h + 2 (z_h'W_hl) z_l + z_l'W_ll z_l. So the oracle never
+builds the rows of z. From the sign rows of every high mask and of every low
+mask it builds three tables once per call: q_hi and q_lo, each half's own
+term per mask, and cross, 2 z_h'W_hl per high mask. For each high popcount
+p, one matrix product, cross of the high masks of popcount p times the low
+rows of popcount c - p, scores every subset whose high half has popcount p;
+q_hi and q_lo are added by broadcasting. Products are cut into chunks of at
+most EXHAUSTIVE_BLOCK scores, splitting the low rows too when one high row
+alone would exceed it, so the working set is one block of float64 scores
+plus the half tables, not C(n, c).
+
+Ties keep the lexicographically smallest optimum. With node 0 at the top
+bit, lexicographic order is "high mask descending, then low mask
+descending", and each chunk lists its masks that way, so argmin takes a
+chunk's lexicographically first minimum. Chunks of different popcounts
+interleave in that order; across chunks an equal score goes to the larger
+high mask, then the larger low mask. The scores round differently from
+summing whole rows, so where several subsets tie only up to rounding (say,
+every weight 0.1) the subset returned may differ from such a row sum's.
 
 sa_solve is the simulated-annealing baseline used to normalize cut sizes;
 its move set swaps one selected node with one unselected node, so every
@@ -102,46 +113,13 @@ def _sign_table(bits: int) -> np.ndarray:
     return 1.0 - 2.0 * ((masks >> shifts) & 1)
 
 
-def _sign_blocks(n: int, c: int, size: int):
-    """The c-subsets of range(n) in lexicographic order, as (rows, n) blocks
-    of +-1 rows with -1 on the subset and at most `size` rows each.
-
-    Each block is a view of one buffer, which the next block overwrites.
-    """
-    h = n // 2
-    high = _sign_table(h)
-    low = _sign_table(n - h)
-    high_count = (high < 0).sum(axis=1)
-    low_count = (low < 0).sum(axis=1)
-    # the low rows of each popcount, masks descending
-    low_rows = [low[np.flatnonzero(low_count == q)[::-1]] for q in range(n - h + 1)]
-    buf = np.empty((min(size, math.comb(n, c)), n))
-    fill = 0
-    for mask in range(len(high) - 1, -1, -1):
-        q = c - int(high_count[mask])
-        if not 0 <= q <= n - h:
-            continue
-        rows = low_rows[q]
-        start = 0
-        while start < len(rows):  # a group may straddle blocks
-            take = min(len(rows) - start, size - fill)
-            buf[fill:fill + take, :h] = high[mask]
-            buf[fill:fill + take, h:] = rows[start:start + take]
-            fill += take
-            start += take
-            if fill == size:
-                yield buf
-                fill = 0
-    if fill:
-        yield buf[:fill]
-
-
 def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
     """Exact minimum over all c : n-c splits; ties keep the lexicographically
     smallest set of selected nodes.
 
-    One matrix product scores each block of at most EXHAUSTIVE_BLOCK +-1
-    rows, copied from two half-register sign tables (see the module docstring).
+    Scores every subset from the half tables q_hi, q_lo and cross, one
+    product per high popcount, in chunks of at most EXHAUSTIVE_BLOCK scores
+    (see the module docstring).
     """
     n = g.n
     _check_c(n, c)
@@ -150,20 +128,35 @@ def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
             f"exhaustive enumeration supports n <= {EXHAUSTIVE_MAX_NODES}, got {n}"
         )
     w = g.weights
+    h = n // 2
+    high = _sign_table(h)
+    low = _sign_table(n - h)
+    q_hi = np.einsum("ai,ai->a", high @ w[:h, :h], high)
+    q_lo = np.einsum("ai,ai->a", low @ w[h:, h:], low)
+    cross = 2.0 * (high @ w[:h, h:])
     wsum = w.sum()
-    best_cut = math.inf
-    best_z: np.ndarray | None = None
-    zw = np.empty((min(EXHAUSTIVE_BLOCK, math.comb(n, c)), n))
-    for z in _sign_blocks(n, c, EXHAUSTIVE_BLOCK):
-        block_zw = np.matmul(z, w, out=zw[: len(z)])
-        cuts = 0.25 * (wsum - np.einsum("ai,ai->a", block_zw, z))
-        # argmin keeps a block's first minimum and the strict < an earlier
-        # block's, so the lexicographically smallest optimum wins
-        i = int(np.argmin(cuts))
-        if cuts[i] < best_cut:
-            best_cut = float(cuts[i])
-            best_z = z[i].astype(int)
-    return OracleResult(z=best_z, cut=cut_size(g, best_z), optimal=True)
+    high_count = (high < 0).sum(axis=1)
+    low_count = (low < 0).sum(axis=1)
+    best = (math.inf, 0, 0)  # (score, -high mask, -low mask); the smallest wins
+    for p in range(max(0, c - (n - h)), min(h, c) + 1):
+        his = np.flatnonzero(high_count == p)[::-1]  # masks descending
+        los = np.flatnonzero(low_count == c - p)[::-1]
+        lo_step = min(len(los), EXHAUSTIVE_BLOCK)
+        hi_step = max(1, EXHAUSTIVE_BLOCK // lo_step)
+        for j in range(0, len(los), lo_step):
+            lo = los[j:j + lo_step]
+            low_t = low[lo].T
+            for i in range(0, len(his), hi_step):
+                hi = his[i:i + hi_step]
+                scores = cross[hi] @ low_t
+                scores += q_hi[hi, None]
+                scores += q_lo[lo]
+                np.subtract(wsum, scores, out=scores)  # 4 x cut
+                k = int(scores.argmin())
+                r, col = divmod(k, len(lo))
+                best = min(best, (float(scores.flat[k]), -int(hi[r]), -int(lo[col])))
+    z = np.concatenate((high[-best[1]], low[-best[2]])).astype(int)
+    return OracleResult(z=z, cut=cut_size(g, z), optimal=True)
 
 
 def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResult:
@@ -206,7 +199,7 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
             u = nodes[i]
             v = nodes[j]
             nodes[i], nodes[j] = v, u
-            to_minus += w[:, v] - w[:, u]
+            to_minus += w[v] - w[u]  # rows; w is symmetric
             cut += delta
             if cut < best_cut - 1e-12:
                 best_cut = cut

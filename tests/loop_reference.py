@@ -9,14 +9,18 @@ iteration. All four do the same arithmetic,
 element by element and in the same order, as the vectorized code in the
 package, so the tests require equal bytes, not a tolerance.
 `exhaustive_best` scores `itertools.combinations` tuples in chunks with a
-three-operand einsum, and `sign_blocks` unranks each block of lexicographic
-c-subsets with one `searchsorted` pass per position and fills its +-1 rows by
-fancy indexing, as the package did before it copied rows from two
-half-register tables; the package's blocks must equal its blocks byte for
-byte. `sa_solve` steps on numpy scalars, one step at a
-time at every temperature; the package oracles must return the same
-assignment bytes and cut. `sa_solve` can also record each step's decision,
-so tests can check which blocks the package's cold phase scores. `minimize`
+three-operand einsum. `block_exhaustive_best` scores lexicographic blocks of
++-1 rows with one matrix product each, as the package did before it scored
+subsets from half-register quadratic-form tables; the package must return
+its assignment bytes and cut on unit, uniform, sparse and integer weights.
+Its blocks, from `table_sign_blocks`, copy rows from two half-register sign
+tables; `sign_blocks` unranks each block of lexicographic c-subsets with one
+`searchsorted` pass per position and fills its +-1 rows by fancy indexing,
+and the two must give equal blocks byte for byte. `sa_solve` steps on numpy
+scalars, one step at a time at every temperature; the package oracles must
+return the same assignment bytes and cut. `sa_solve` can also record each
+step's decision, so tests can check which blocks the package's cold phase
+scores. `minimize`
 can also record which Nelder-Mead step each iteration took and which new
 vertices tied with another, so tests can show that their objectives reach
 every branch and every ordering case. `pauli_action` builds a string's
@@ -43,7 +47,13 @@ from pce_mincut.optimize import (
     OptimizeResult,
     OptimizerConfig,
 )
-from pce_mincut.oracles import SA_COOLING, OracleResult, SaConfig, _subset_to_z
+from pce_mincut.oracles import (
+    SA_COOLING,
+    OracleResult,
+    SaConfig,
+    _sign_table,
+    _subset_to_z,
+)
 from pce_mincut.quantum import (
     _KRON_COLUMN_MAX_QUBITS,
     _WHT_MIN_QUBITS,
@@ -327,6 +337,61 @@ def sign_blocks(n, c, size):
         zmat = np.ones((len(block), n))
         zmat[rows[: len(block)], block] = -1.0
         yield zmat
+
+
+def table_sign_blocks(n, c, size):
+    """The c-subsets of range(n) in lexicographic order, as (rows, n) blocks
+    of +-1 rows with -1 on the subset and at most `size` rows each.
+
+    The first n//2 nodes form the high half; each group of one high row
+    beside the low rows of the popcount that completes c, masks descending,
+    is copied by slice into one buffer, which the next block overwrites.
+    """
+    h = n // 2
+    high = _sign_table(h)
+    low = _sign_table(n - h)
+    high_count = (high < 0).sum(axis=1)
+    low_count = (low < 0).sum(axis=1)
+    # the low rows of each popcount, masks descending
+    low_rows = [low[np.flatnonzero(low_count == q)[::-1]] for q in range(n - h + 1)]
+    buf = np.empty((min(size, math.comb(n, c)), n))
+    fill = 0
+    for mask in range(len(high) - 1, -1, -1):
+        q = c - int(high_count[mask])
+        if not 0 <= q <= n - h:
+            continue
+        rows = low_rows[q]
+        start = 0
+        while start < len(rows):  # a group may straddle blocks
+            take = min(len(rows) - start, size - fill)
+            buf[fill:fill + take, :h] = high[mask]
+            buf[fill:fill + take, h:] = rows[start:start + take]
+            fill += take
+            start += take
+            if fill == size:
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
+
+
+def block_exhaustive_best(g, c, size=1 << 14):
+    """One matrix product scores each block of `table_sign_blocks`; argmin
+    keeps a block's first minimum and the strict < an earlier block's."""
+    n = g.n
+    w = g.weights
+    wsum = w.sum()
+    best_cut = math.inf
+    best_z = None
+    zw = np.empty((min(size, math.comb(n, c)), n))
+    for z in table_sign_blocks(n, c, size):
+        block_zw = np.matmul(z, w, out=zw[: len(z)])
+        cuts = 0.25 * (wsum - np.einsum("ai,ai->a", block_zw, z))
+        i = int(np.argmin(cuts))
+        if cuts[i] < best_cut:
+            best_cut = float(cuts[i])
+            best_z = z[i].astype(int)
+    return OracleResult(z=best_z, cut=cut_size(g, best_z), optimal=True)
 
 
 def sa_solve(g, c, cfg=SaConfig(), trace=None):

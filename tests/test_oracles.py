@@ -128,8 +128,52 @@ def test_exhaustive_at_the_largest_n_with_one_block():
     _same_answer(exhaustive_best(g, 1), loop_reference.exhaustive_best(g, 1))
 
 
+def _integer_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.integers(0, 5, size=(n, n)), 1).astype(float)
+    return WeightedGraph(w + w.T)
+
+
+BLOCK_SCORER_GRAPHS = {
+    "unit": lambda n: generate_complete_graph(n),
+    "uniform": lambda n: generate_complete_graph(n, weights="uniform", seed=n, low=0.1, high=1.0),
+    "sparse": lambda n: generate_complete_graph(n, weights="uniform", seed=n, drop_prob=0.4),
+    "integer": lambda n: _integer_graph(n, seed=n),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 23))
+@pytest.mark.parametrize("kind", BLOCK_SCORER_GRAPHS)
+def test_exhaustive_matches_the_block_scorer(kind, n):
+    g = BLOCK_SCORER_GRAPHS[kind](n)
+    for c in range(1, n // 2 + 1):
+        _same_answer(exhaustive_best(g, c), loop_reference.block_exhaustive_best(g, c))
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_exhaustive_tie_rule_holds_across_popcount_tables(monkeypatch, block):
+    # n=8, c=2: nodes 0-3 are the high half. Weight 10 holds each of the
+    # pairs {0, 4}, {1, 2} and {5, 6} together, and each cuts 16, the least;
+    # their high popcounts are 1, 2 and 0. The first of them, {0, 4}, is in
+    # neither the first table scored (popcount 0) nor the last.
+    if block is not None:
+        monkeypatch.setattr(oracles, "EXHAUSTIVE_BLOCK", block)
+    w = np.ones((8, 8))
+    w[[3, 7], :] = w[:, [3, 7]] = 2.0
+    w[3, 7] = w[7, 3] = 1.0
+    for a, b in ((0, 4), (1, 2), (5, 6)):
+        w[a, b] = w[b, a] = 10.0
+    np.fill_diagonal(w, 0.0)
+    g = WeightedGraph(w)
+    tied = [oracles._subset_to_z(8, pair) for pair in ((0, 4), (1, 2), (5, 6))]
+    assert [cut_size(g, z) for z in tied] == [16.0] * 3
+    res = exhaustive_best(g, 2)
+    assert res.z.tobytes() == tied[0].tobytes() and res.cut == 16.0
+    _same_answer(res, loop_reference.exhaustive_best(g, 2))
+
+
 def _same_blocks(n, c, size):
-    pairs = itertools.zip_longest(oracles._sign_blocks(n, c, size),
+    pairs = itertools.zip_longest(loop_reference.table_sign_blocks(n, c, size),
                                   loop_reference.sign_blocks(n, c, size))
     for count, (got, want) in enumerate(pairs, start=1):
         assert got is not None and want is not None, f"block {count} is missing on one side"
@@ -157,11 +201,14 @@ def test_exhaustive_working_set_is_bounded_by_the_block():
     g = generate_complete_graph(22, weights="uniform", seed=6, low=0.1, high=1.0)
     tracemalloc.start()
     try:
-        exhaustive_best(g, 11)  # C(22, 11) = 705,432 subsets in 44 blocks
+        exhaustive_best(g, 11)  # C(22, 11) = 705,432 subsets, 5.6 MB of scores
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * oracles.EXHAUSTIVE_BLOCK * g.n * 8
+    # one block of float64 scores, plus the high, low and cross tables of
+    # 2^11 x 11 float64 each and up to three temporaries of that size while
+    # they are built
+    assert peak <= 8 * (oracles.EXHAUSTIVE_BLOCK + 6 * 2**11 * 11)
 
 
 @pytest.mark.parametrize("n, c, cfg", [
