@@ -23,7 +23,6 @@ and alpha caps of its run.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -33,7 +32,6 @@ from pathlib import Path
 from .encoding import FAMILIES, PAULI_LETTERS
 from .graph import WEIGHT_MODES, generate_complete_graph, read_graph, write_graph
 from .harness import (
-    HISTORY_FIELDS,
     JSON_KINDS,
     ExperimentPlan,
     GraphSource,
@@ -41,12 +39,14 @@ from .harness import (
     emit_report,
     json_fits,
     make_record,
+    normalizing_baseline,
     read_records,
     render_markdown,
     run_plan,
+    write_history_csv,
 )
 from .optimize import OptimizerConfig
-from .oracles import BASELINE_METHODS, SaConfig, baseline_cut, positive_baseline
+from .oracles import BASELINE_METHODS, SaConfig, baseline_cut
 from .solver import MODES, UPDATE_RULES, SolverSpec, solve
 
 
@@ -197,9 +197,7 @@ def cmd_solve(args) -> int:
     # the two caps are settings of this one run, not of a plan's solvers
     cfg = dataclasses.replace(spec.config(g, args.c, args.seed),
                               max_outer_iters=args.max_outer_iters, alpha_cap=args.alpha_cap)
-    baseline = positive_baseline(baseline_cut(g, args.c, method=args.baseline_method,
-                                              sa_config=SaConfig(seed=args.baseline_seed),
-                                              cache_path=args.cache), args.c)
+    baseline = normalizing_baseline(g, args.c, args.baseline_method, args.baseline_seed, args.cache)
     t0 = time.perf_counter()
     outcome = solve(cfg)
     wall = time.perf_counter() - t0
@@ -208,19 +206,12 @@ def cmd_solve(args) -> int:
                          pair_id=None, baseline=baseline, wall_time_s=wall)
     print(json.dumps(record, indent=2))
     if args.history and outcome.history is not None:
-        _write_single_history(record["outcome"]["history"], args.history)
+        write_history_csv([record], args.history, run_fields=())
         print(f"history written to {args.history}", file=sys.stderr)
     if args.records:
         with open(args.records, "a") as fh:
             fh.write(json.dumps(record) + "\n")
     return 0
-
-
-def _write_single_history(history: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=HISTORY_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(history)
 
 
 def _graph_source_from_args(args) -> GraphSource:

@@ -1,8 +1,8 @@
 """Weighted graphs for budget-constrained minimum-cut instances.
 
-Graphs are undirected with finite, non-negative edge weights, stored as a
-dense symmetric matrix (benchmark instances are complete, so sparsity buys
-nothing). Node indices are 0-based everywhere, including files.
+Graphs are undirected with finite, non-negative edge weights of finite sum,
+stored as a dense symmetric matrix (benchmark instances are complete, so
+sparsity buys nothing). Node indices are 0-based everywhere, including files.
 
 Cut assignments are plain length-n integer vectors with entries in
 {-1, +1}; a node with value -1 sits on the "selected" side of the cut.
@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "GraphFormatError",
     "WeightedGraph",
+    "check_budget",
     "generate_complete_graph",
     "cut_size",
     "partition_count",
@@ -59,6 +60,10 @@ class WeightedGraph:
             raise ValueError("edge weights must be non-negative")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused here, not warned of
+            total = self.weight_sum
+        if not math.isfinite(total):
+            raise ValueError(f"weights must have a finite sum, got {total}")
 
     @property
     def n(self) -> int:
@@ -87,6 +92,12 @@ class WeightedGraph:
 
     def __hash__(self) -> int:
         return hash(graph_hash(self))
+
+
+def check_budget(n: int, c: int) -> None:
+    """ValueError unless 1 <= c <= n/2; a c above n/2 is its n-c mirror's cut."""
+    if not (1 <= c <= n // 2):
+        raise ValueError(f"c must be in [1, n/2] = [1, {n // 2}], got {c}")
 
 
 def generate_complete_graph(

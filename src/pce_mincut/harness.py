@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import EncodingSpec
-from .graph import WeightedGraph, generate_complete_graph, graph_hash, read_graph
+from .graph import WeightedGraph, check_budget, generate_complete_graph, graph_hash, read_graph
 from .objective import ObjectiveSpec, binarization
 from .optimize import F_TOL, INITIAL_STEP, METHOD, X_TOL, OptimizerConfig
 from .oracles import SaConfig, baseline_cut, normalized_cut, positive_baseline
@@ -51,6 +51,7 @@ __all__ = [
     "RUN_COLUMNS",
     "run_row",
     "run_plan",
+    "normalizing_baseline",
     "aggregate",
     "emit_report",
     "replay_record",
@@ -137,8 +138,7 @@ class ExperimentPlan:
         if self.c_values is None:
             return tuple(range(2, n // 2 + 1)) or (1,)
         for c in self.c_values:
-            if not (1 <= c <= n // 2):
-                raise ValueError(f"c={c} outside [1, n/2] for n={n}")
+            check_budget(n, c)
         return self.c_values
 
 
@@ -201,8 +201,8 @@ def config_to_dict(cfg: PceConfig) -> dict:
 
 
 def config_from_dict(d: dict, graph: WeightedGraph) -> PceConfig:
-    """Rebuild a record's config; ValueError if it ran under other fixed values
-    or other numerical paths than this code runs at its register size."""
+    """Rebuild a record's config; ValueError if it ran another ansatz, other
+    fixed values or other numerical paths than this code runs at its register size."""
     m = d["encoding"]["m"]
     recorded, running = _recorded_numerics(d), numerics(m)
     if recorded != running:
@@ -210,14 +210,13 @@ def config_from_dict(d: dict, graph: WeightedGraph) -> PceConfig:
             f"record ran numerics {recorded!r}, but this code runs {running!r} "
             f"at m={m}; it cannot be replayed"
         )
-    for section, fixed in _FIXED.items():
-        for key, value in fixed.items():
-            recorded = d[section].get(key)
-            if recorded != value:
-                raise ValueError(
-                    f"record has {section}.{key}={recorded!r}, but this code "
-                    f"runs {section}.{key}={value!r}; it cannot be replayed"
-                )
+    fixed = [("ansatz", d.get("ansatz"), ANSATZ_LAYOUT)] + [
+        (f"{section}.{key}", d[section].get(key), value)
+        for section, values in _FIXED.items() for key, value in values.items()]
+    for name, recorded, value in fixed:
+        if recorded != value:
+            raise ValueError(f"record has {name}={recorded!r}, but this code runs "
+                             f"{name}={value!r}; it cannot be replayed")
     encoding = EncodingSpec(**{k: v for k, v in d["encoding"].items()
                                if k not in _FIXED["encoding"]})
     objective = ObjectiveSpec(graph=graph, encoding=encoding,
@@ -366,6 +365,12 @@ def _check_run_record(record: dict) -> None:
 
 # --- plan execution ----------------------------------------------------------
 
+def normalizing_baseline(graph: WeightedGraph, c: int, method: str, seed: int, cache=None) -> float:
+    """The cut that normalizes runs' cuts: baseline_cut, refused unless finite and positive."""
+    cut = baseline_cut(graph, c, method=method, sa_config=SaConfig(seed=seed), cache_path=cache)
+    return positive_baseline(cut, c)
+
+
 def _cell_seed(seed_base: int, c: int, rep: int) -> int:
     return seed_base + 1000 * c + rep
 
@@ -445,12 +450,9 @@ def run_plan(
                for spec in plan.solvers
                for c in c_values
                for rep in range(plan.repetitions)]
-    sa_cfg = SaConfig(seed=plan.baseline_seed)
-    baselines = {
-        c: positive_baseline(baseline_cut(graph, c, method=plan.baseline_method,
-                                          sa_config=sa_cfg, cache_path=plan.baseline_cache), c)
-        for c in c_values
-    }
+    baselines = {c: normalizing_baseline(graph, c, plan.baseline_method, plan.baseline_seed,
+                                         plan.baseline_cache)
+                 for c in c_values}
 
     cells = [(cfg, graph_info, spec, c, rep, baselines[c], plan.record_history)
              for spec, c, rep, cfg in configs]
@@ -688,9 +690,10 @@ def write_runs_csv(records: list[dict], path) -> None:
         writer.writerows(run_row(rec) for rec in records if "error" not in rec)
 
 
-def write_history_csv(records: list[dict], path) -> None:
-    """Flatten per-iteration histories; one (run, iteration) pair per row."""
-    run_fields = ("label", "c", "seed")
+def write_history_csv(records: list[dict], path,
+                      run_fields: tuple[str, ...] = ("label", "c", "seed")) -> None:
+    """Flatten per-iteration histories; one (run, iteration) pair per row,
+    led by the runs.csv columns run_fields."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=run_fields + HISTORY_FIELDS)
         writer.writeheader()

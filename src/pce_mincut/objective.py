@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodingSpec
-from .graph import WeightedGraph, partition_count
+from .graph import WeightedGraph, check_budget, partition_count
 
 __all__ = [
     "ObjectiveSpec",
@@ -59,8 +59,7 @@ class ObjectiveSpec:
 
     def __post_init__(self) -> None:
         n = self.graph.n
-        if not (1 <= self.c <= n // 2):
-            raise ValueError(f"c must be in [1, n/2] = [1, {n // 2}], got {self.c}")
+        check_budget(n, self.c)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.eta < 0:
@@ -152,8 +151,7 @@ def beta_c(g: WeightedGraph, c: int) -> float:
     This upper-bounds the weight of any cut that separates c nodes, so the
     penalty term always dominates an unsatisfied budget.
     """
-    if not (1 <= c <= g.n // 2):
-        raise ValueError(f"c must be in [1, n/2], got {c}")
+    check_budget(g.n, c)
     deg = np.sort(g.degrees)
     return float(deg[-c:].sum())
 

@@ -15,14 +15,15 @@ most EXHAUSTIVE_BLOCK scores, splitting the low rows too when one high row
 alone would exceed it, so the working set is one block of float64 scores
 plus the half tables, not C(n, c).
 
-Ties keep the lexicographically smallest optimum. With node 0 at the top
-bit, lexicographic order is "high mask descending, then low mask
-descending", and each chunk lists its masks that way, so argmin takes a
-chunk's lexicographically first minimum. Chunks of different popcounts
-interleave in that order; across chunks an equal score goes to the larger
-high mask, then the larger low mask. The scores round differently from
-summing whole rows, so where several subsets tie only up to rounding (say,
-every weight 0.1) the subset returned may differ from such a row sum's.
+Of subsets whose scores are exactly equal floats, the lexicographically
+smallest wins. With node 0 at the top bit, lexicographic order is "high
+mask descending, then low mask descending", and each chunk lists its masks
+that way, so argmin takes a chunk's lexicographically first minimum.
+Chunks of different popcounts interleave in that order; across chunks an
+equal score goes to the larger high mask, then the larger low mask. This
+rule holds only for exactly equal floats: subsets that tie mathematically
+can round to different scores, and then the lowest-rounding one wins. On
+K5 with every weight 0.1, all ten 2-subsets cut 0.6, yet c=2 gives {0, 2}.
 
 sa_solve is the simulated-annealing baseline used to normalize cut sizes;
 its move set swaps one selected node with one unselected node, so every
@@ -54,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import WeightedGraph, cut_size, graph_hash
+from .graph import WeightedGraph, check_budget, cut_size, graph_hash
 
 __all__ = [
     "SaConfig",
@@ -94,11 +95,6 @@ class OracleResult:
     optimal: bool  # True only for exhaustive enumeration
 
 
-def _check_c(n: int, c: int) -> None:
-    if not (1 <= c <= n // 2):
-        raise ValueError(f"c must be in [1, n/2] = [1, {n // 2}], got {c}")
-
-
 def _subset_to_z(n: int, minus_nodes) -> np.ndarray:
     z = np.ones(n, dtype=int)
     z[list(minus_nodes)] = -1
@@ -114,15 +110,16 @@ def _sign_table(bits: int) -> np.ndarray:
 
 
 def exhaustive_best(g: WeightedGraph, c: int) -> OracleResult:
-    """Exact minimum over all c : n-c splits; ties keep the lexicographically
-    smallest set of selected nodes.
+    """Exact minimum over all c : n-c splits; of exactly equal float scores the
+    lexicographically smallest set of selected nodes wins, while a tie only
+    up to rounding goes to the score that rounds lowest.
 
     Scores every subset from the half tables q_hi, q_lo and cross, one
     product per high popcount, in chunks of at most EXHAUSTIVE_BLOCK scores
     (see the module docstring).
     """
     n = g.n
-    _check_c(n, c)
+    check_budget(n, c)
     if n > EXHAUSTIVE_MAX_NODES:
         raise ValueError(
             f"exhaustive enumeration supports n <= {EXHAUSTIVE_MAX_NODES}, got {n}"
@@ -171,7 +168,7 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
     stream seeded by (seed, r) and ties across restarts keep the earliest.
     """
     n = g.n
-    _check_c(n, c)
+    check_budget(n, c)
     w = g.weights
     temps = []  # the temperature of each hot step
     temp = float(w.max() * n)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -57,7 +58,10 @@ def test_solve_prints_record(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["outcome"]["outer_iters"] >= 1
     assert record["metrics"]["baseline_cut"] == 8.0
-    assert hist.read_text().startswith("iter,alpha,loss,binarization,minus_count")
+    with open(hist, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iter", "alpha", "loss", "binarization", "minus_count"]
+    assert rows[1:] == [[str(h[k]) for k in rows[0]] for h in record["outcome"]["history"]]
     assert len(records.read_text().strip().splitlines()) == 1
 
 
@@ -265,7 +269,7 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
 @pytest.mark.parametrize("argv, message", [
     ("bench --graph {tmp}/bad.txt --reps 1", "bench: {tmp}/bad.txt:2: "),
     ("solve --graph {tmp}/bad.txt --c 2", "solve: {tmp}/bad.txt:2: "),
-    ("bench --n 6 --c-values 4 --reps 1", "bench: c=4 outside [1, n/2] for n=6"),
+    ("bench --n 6 --c-values 4 --reps 1", "bench: c must be in [1, n/2] = [1, 3], got 4"),
     ("baseline --graph {tmp}/k4.json --c 3", "baseline: c must be in [1, n/2] = [1, 2], got 3"),
     ("bench --n 4 --reps 1 --cache {tmp}/cache.json",
      "bench: baseline cache {tmp}/cache.json is not valid JSON"),
@@ -301,6 +305,14 @@ def test_a_non_finite_weight_exits_in_one_line(tmp_path, weight):
     with pytest.raises(SystemExit) as exc_info:
         run_cli("baseline", "--graph", graph, "--c", 1, "--method", "sa")
     assert str(exc_info.value) == f"baseline: {graph}:2: weight {weight} is not finite"
+
+
+def test_a_graph_whose_weights_overflow_exits_in_one_line(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1 1e308\n1 2 1e308\n")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("baseline", "--graph", graph, "--c", 1, "--method", "sa")
+    assert str(exc_info.value) == "baseline: weights must have a finite sum, got inf"
 
 
 @pytest.mark.parametrize("flags, message", [

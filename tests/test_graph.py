@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pce_mincut.harness import ExperimentPlan, GraphSource, SolverSpec
+from pce_mincut.objective import ObjectiveSpec, beta_c
+from pce_mincut.oracles import exhaustive_best, sa_solve
+from pce_mincut.encoding import EncodingSpec
 from pce_mincut.graph import (
     GraphFormatError,
     WeightedGraph,
+    check_budget,
     cut_size,
     generate_complete_graph,
     graph_hash,
@@ -71,6 +76,35 @@ def test_weighted_graph_refuses_a_non_finite_weight(value):
     w[0, 1] = w[1, 0] = value
     with pytest.raises(ValueError, match="^weights must be finite$"):
         WeightedGraph(w)
+
+
+def test_weighted_graph_refuses_weights_whose_sum_overflows():
+    # every entry is finite, but the matrix of two 5e307 edges sums to 2e308
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 5e307
+    with pytest.raises(ValueError, match="^weights must have a finite sum, got inf$"):
+        WeightedGraph(w)
+    w[1, 2] = w[2, 1] = 0.0
+    assert WeightedGraph(w).weight_sum == 1e308
+
+
+@pytest.mark.parametrize("n, c", [(6, 0), (6, 4), (6, -1), (7, 4), (2, 2)])
+def test_check_budget_refuses_c_outside_one_to_half_n(n, c):
+    with pytest.raises(ValueError, match=rf"^c must be in \[1, n/2\] = \[1, {n // 2}\], got {c}$"):
+        check_budget(n, c)
+
+
+def test_every_budget_check_refuses_with_check_budgets_message():
+    g = generate_complete_graph(6)
+    enc = EncodingSpec("full_xyz", m=3, n_vars=6, k=2)
+    plan = ExperimentPlan(graph=GraphSource(n=6), c_values=(4,), solvers=(SolverSpec(),))
+    for refuse in (lambda: ObjectiveSpec(graph=g, encoding=enc, alpha=1.0, c=4),
+                   lambda: beta_c(g, 4), lambda: exhaustive_best(g, 4), lambda: sa_solve(g, 4),
+                   lambda: plan.resolve_c_values(6)):
+        with pytest.raises(ValueError, match=r"^c must be in \[1, n/2\] = \[1, 3\], got 4$"):
+            refuse()
+    for c in (1, 3):
+        check_budget(6, c)
 
 
 @pytest.mark.parametrize("name, content, where, value", [

@@ -365,6 +365,19 @@ def test_untagged_config_above_m7_is_taken_to_have_run_the_perm_kernel():
         config_from_dict(d, graph)
 
 
+def test_replay_refuses_an_edited_ansatz_tag():
+    rec = read_records(V0_2_0_RECORDS)[0]
+    rec["config"]["ansatz"] = "brickwork(ry+rz columns, cz bricks, qubit0=lsb)"
+    with pytest.raises(ValueError, match=r"^record has ansatz='brickwork\(ry\+rz columns, cz "
+                                         r"bricks, qubit0=lsb\)', but this code runs ansatz="
+                                         r"'brickwork\(ry\+rz columns, cz bricks, qubit0=msb\)'; "
+                                         r"it cannot be replayed$"):
+        replay_record(rec)
+    del rec["config"]["ansatz"]
+    with pytest.raises(ValueError, match="^record has ansatz=None, but this code runs"):
+        replay_record(rec)
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("optimizer", "x_tol", 1e-3),
     ("optimizer", "method", "bfgs"),
