@@ -1,8 +1,9 @@
 """Weighted graphs for budget-constrained minimum-cut instances.
 
 Graphs are undirected with finite, non-negative edge weights of finite sum,
-stored as a dense symmetric matrix (benchmark instances are complete, so
-sparsity buys nothing). Node indices are 0-based everywhere, including files.
+none of which vanishes against that sum, stored as a dense symmetric matrix
+(benchmark instances are complete, so sparsity buys nothing). Node indices
+are 0-based everywhere, including files.
 
 Cut assignments are plain length-n integer vectors with entries in
 {-1, +1}; a node with value -1 sits on the "selected" side of the cut.
@@ -64,6 +65,12 @@ class WeightedGraph:
             total = self.weight_sum
         if not math.isfinite(total):
             raise ValueError(f"weights must have a finite sum, got {total}")
+        # a cut is (sum - z'Wz)/4, so a weight that rounds away against the
+        # sum would be cut or kept at no cost
+        w_min = float(np.min(w, where=w > 0.0, initial=math.inf))
+        if total - w_min == total:
+            raise ValueError(f"the smallest nonzero weight {w_min} vanishes against the "
+                             f"weight sum {total}; cuts could not be resolved")
 
     @property
     def n(self) -> int:

@@ -28,9 +28,8 @@ from .graph import WeightedGraph, check_budget, generate_complete_graph, graph_h
 from .objective import ObjectiveSpec, binarization
 from .optimize import F_TOL, INITIAL_STEP, METHOD, X_TOL, OptimizerConfig
 from .oracles import SaConfig, baseline_cut, normalized_cut, positive_baseline
-from .quantum import numerics
+from .quantum import ANSATZ_LAYOUT, numerics
 from .solver import (
-    ANSATZ_LAYOUT,
     PceConfig,
     SolveOutcome,
     SolverSpec,

@@ -8,9 +8,9 @@ that a record written under other values is refused, not replayed.
 
 Everything here is deterministic: identical (objective, x0, config) inputs
 replay the exact same evaluation sequence. nelder_mead is the method as a
-generator that asks for one value at a time, so a caller can serve many
-runs' requests together (solver.run_lockstep scores them with one stacked
-loss call per step); minimize drives it with a Python objective.
+generator that asks for one tagged value at a time, so a caller can serve
+many runs' requests together (solver.run_lockstep scores them with one
+stacked loss call per step); minimize drives it with a Python objective.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ class OptimizeResult:
     best_value: float
     evals: int
     converged: bool
+    best_tag: object = None  # the tag sent with best_value
 
 
 class _BudgetExhausted(Exception):
@@ -81,12 +82,14 @@ def _sort(simplex: np.ndarray, fvals: list[float]):
     return simplex[order], [fvals[i] for i in order]
 
 
-def nelder_mead(x0, max_evals: int):
+def nelder_mead(x0, max_evals: int, context=None):
     """Nelder-Mead from the start point x0, as a generator of evaluation requests.
 
-    Yields each point whose value it needs and is sent that value; returns
-    the OptimizeResult once the simplex converges or max_evals values have
-    been received. A non-finite value raises EvaluationError.
+    Yields (x, context) for each point x whose value it needs and is sent
+    (value, tag); returns the OptimizeResult once the simplex converges or
+    max_evals values have been received. Its best_params and best_tag are the
+    point and the tag of the first of the lowest values. A non-finite value
+    raises EvaluationError.
 
     The simplex is kept sorted by value. A vertex that replaces the worst is
     inserted after its equals, where a stable sort of the whole simplex puts
@@ -100,17 +103,19 @@ def nelder_mead(x0, max_evals: int):
     evals = 0
     best_x = x0.copy()
     best_f = math.inf
+    best_tag = None
 
     def f(x: np.ndarray):
-        nonlocal evals, best_x, best_f
+        nonlocal evals, best_x, best_f, best_tag
         if evals >= max_evals:
             raise _BudgetExhausted
-        value = float((yield x))
+        value, tag = yield x, context
+        value = float(value)
         evals += 1
         if not math.isfinite(value):
             raise EvaluationError(value, x)
         if value < best_f:
-            best_f = value
+            best_f, best_tag = value, tag
             best_x = np.array(x)
         return value
 
@@ -180,21 +185,22 @@ def nelder_mead(x0, max_evals: int):
         best_value=best_f,
         evals=evals,
         converged=converged,
+        best_tag=best_tag,
     )
 
 
 def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> OptimizeResult:
     """Minimize a total real function of a real vector from the start point x0.
 
-    Serves each point nelder_mead asks for with objective's value there.
+    Serves each point nelder_mead asks for with objective's value there, untagged.
     """
     if cfg is None:
         cfg = OptimizerConfig()
     run = nelder_mead(x0, cfg.budget(np.size(x0)))
     try:
-        x = next(run)
+        x, _ = next(run)
         while True:
-            x = run.send(objective(x))
+            x, _ = run.send((objective(x), None))
     except StopIteration as stop:
         return stop.value
 

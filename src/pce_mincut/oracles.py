@@ -160,18 +160,23 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
     """Simulated annealing over size-c subsets; best over restarts.
 
     Metropolis acceptance exp(-delta/T), with T starting at the largest
-    edge weight times n and cooled by SA_COOLING per step. Once T has
-    fallen to 1e-12 only swaps with delta <= 0 are accepted, and the cold
-    phase scores quiet stretches in blocks of SA_BLOCK steps; the answer is
-    that of scoring every step alone (see the module docstring).
+    edge weight times n (a ValueError if that overflows) and cooled by
+    SA_COOLING per step. Once T has fallen to 1e-12 only swaps with
+    delta <= 0 are accepted, and the cold phase scores quiet stretches in
+    blocks of SA_BLOCK steps; the answer is that of scoring every step alone
+    (see the module docstring).
     Deterministic for a fixed (graph, c, config); restart r uses the RNG
     stream seeded by (seed, r) and ties across restarts keep the earliest.
     """
     n = g.n
     check_budget(n, c)
     w = g.weights
+    w_max = float(w.max())
+    temp = w_max * n
+    if temp == math.inf:
+        raise ValueError(f"the SA start temperature, largest weight {w_max} times n={n}, "
+                         "overflows")
     temps = []  # the temperature of each hot step
-    temp = float(w.max() * n)
     while temp > 1e-12 and len(temps) < cfg.steps:
         temps.append(temp)
         temp *= SA_COOLING

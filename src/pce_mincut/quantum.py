@@ -36,7 +36,12 @@ __all__ = [
     "prepare_state",
     "ExpectationKernel",
     "numerics",
+    "ANSATZ_LAYOUT",
 ]
+
+# the layout above as one tag, recorded in every run record so results are
+# self-describing
+ANSATZ_LAYOUT = "brickwork(ry+rz columns, cz bricks, qubit0=msb)"
 
 
 def parameter_count(m: int, layers: int = 1) -> int:

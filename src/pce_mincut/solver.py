@@ -18,8 +18,9 @@ or one inner run after the proposed alpha overflows the alpha cap (at the
 cap tanh is bitwise saturated and further updates are inert).
 
 solve_steps is the loop, as a generator that asks for the expectation
-vector and the loss of each state it evaluates. run_lockstep is its one
-driver: it serves independent runs together, sharing each step's state
+vector and the loss of each state it evaluates; optimize.nelder_mead runs
+each inner run and keeps the vector of its best point. run_lockstep is its
+one driver: it serves independent runs together, sharing each step's state
 preparation, expectation kernel and loss call, and solve is run_lockstep
 over one run. Shared calls are bit-equal row for row to 1-D calls, so a
 run's outcome does not depend on the runs that share its steps.
@@ -61,15 +62,11 @@ __all__ = [
     "MODES",
     "UPDATE_RULES",
     "CONTROL_SEED_OFFSET",
-    "ANSATZ_LAYOUT",
 ]
 
 # seed shift for the paired fixed-alpha control run, kept fixed so paired
 # experiments are replayable from the iterative run's seed alone
 CONTROL_SEED_OFFSET = 104729
-
-# recorded in every run record so results are self-describing
-ANSATZ_LAYOUT = "brickwork(ry+rz columns, cz bricks, qubit0=msb)"
 
 # the alpha modes, and the rules by which the iterative schedule raises alpha
 MODES = ("fixed", "iterative")
@@ -236,11 +233,12 @@ def next_alpha(soft, alpha: float, M: float, rule: str = "arctanh_ratio") -> flo
 def solve_steps(cfg: PceConfig):
     """The solve loop as a step generator; solve's docstring gives its semantics.
 
-    Yields (ansatz, theta, spec) for every state the run evaluates, with
+    Each inner run is a yield from nelder_mead with the context (ansatz, spec),
     ansatz as run_lockstep describes it and spec the ObjectiveSpec at the
-    current alpha, and is sent (loss, e): theta's expectation vector e and
-    its loss under spec. An inner run ends at the e of the value Nelder-Mead
-    reports as its best. Returns the SolveOutcome.
+    current alpha. So it yields (theta, (ansatz, spec)) for every state the
+    run evaluates and is sent (loss, e): theta's expectation vector e and its
+    loss under spec, e being the tag nelder_mead keeps for its best value.
+    Returns the SolveOutcome.
     """
     enc = cfg.objective.encoding
     # what a state depends on besides its angles; the letters are joined into
@@ -256,18 +254,8 @@ def solve_steps(cfg: PceConfig):
 
     for outer in range(1, cfg.max_outer_iters + 1):
         spec = replace(cfg.objective, alpha=alpha)
-        run = nelder_mead(theta, cfg.optimizer.budget(theta.size))
-        best = math.inf
-        try:
-            x = next(run)
-            while True:
-                value, x_e = yield ansatz, x, spec
-                if value < best:  # nelder_mead's rule, so e is best_params' vector
-                    best, e = value, x_e
-                x = run.send(value)
-        except StopIteration as stop:
-            result = stop.value
-        theta = result.best_params
+        result = yield from nelder_mead(theta, cfg.optimizer.budget(theta.size), (ansatz, spec))
+        theta, e = result.best_params, result.best_tag
         total_evals += result.evals
         soft = soft_values(np.clip(e, -1.0, 1.0), alpha)
         proposed = next_alpha(soft, alpha, cfg.M, cfg.update_rule) if iterative else alpha
@@ -317,7 +305,7 @@ def solve_steps(cfg: PceConfig):
 def run_lockstep(jobs, spent: list[float] | None = None):
     """Drive step generators together until each one returns.
 
-    A job yields (ansatz, theta, spec), with ansatz = (m, layers, the
+    A job yields (theta, (ansatz, spec)), with ansatz = (m, layers, the
     strings' letters joined by spaces), and is sent (loss, e): theta's
     expectation vector e and its loss under spec. Each step serves every
     waiting job with one prepare_state, one kernel and one loss call per
@@ -357,7 +345,7 @@ def run_lockstep(jobs, spent: list[float] | None = None):
         ended.clear()
         start = time.perf_counter()
         groups: dict[tuple, list] = {}
-        for i, (ansatz, theta, spec) in waiting.items():
+        for i, (theta, (ansatz, spec)) in waiting.items():
             groups.setdefault(ansatz, []).append((i, theta, spec))
         served = list(waiting)
         waiting.clear()

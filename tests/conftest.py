@@ -7,7 +7,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pce_mincut.solver as solver_mod
+from pce_mincut.encoding import enumerate_strings
 from pce_mincut.graph import WeightedGraph, generate_complete_graph
+from pce_mincut.objective import decode, soft_values
+from pce_mincut.quantum import ExpectationKernel, prepare_state
 
 
 @pytest.fixture
@@ -58,3 +61,10 @@ def prepared_rows(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "prepare_state", prepare_state)
     return rows
+
+
+def read_at_theta_final(cfg, theta_final, final_alpha):
+    """z and soft from the expectations recomputed at a run's final angles."""
+    enc = cfg.objective.encoding
+    e = ExpectationKernel(enumerate_strings(enc))(prepare_state(enc.m, theta_final, cfg.layers))
+    return decode(e), soft_values(np.clip(e, -1.0, 1.0), final_alpha)

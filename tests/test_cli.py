@@ -315,6 +315,15 @@ def test_a_graph_whose_weights_overflow_exits_in_one_line(tmp_path):
     assert str(exc_info.value) == "baseline: weights must have a finite sum, got inf"
 
 
+def test_a_graph_whose_cuts_cannot_be_resolved_exits_in_one_line(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1 1e300\n1 2 1\n")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("baseline", "--graph", graph, "--c", 1, "--method", "sa")
+    assert str(exc_info.value) == ("baseline: the smallest nonzero weight 1.0 vanishes against "
+                                   "the weight sum 2e+300; cuts could not be resolved")
+
+
 @pytest.mark.parametrize("flags, message", [
     ("--M 1.5", "threshold M must be in (0, 1), got 1.5"),
     ("--max-evals 5", "max_evals=5 cannot even build a simplex in 18-D"),

@@ -88,6 +88,19 @@ def test_weighted_graph_refuses_weights_whose_sum_overflows():
     assert WeightedGraph(w).weight_sum == 1e308
 
 
+def test_weighted_graph_refuses_a_weight_that_vanishes_against_the_sum():
+    # the cut {0, 1, 2} of this K12 is 27, but (sum - z'Wz)/4 rounds it to 0
+    w = np.ones((12, 12)) - np.eye(12)
+    w[0, 1] = w[1, 0] = 1e307
+    with pytest.raises(ValueError, match=r"^the smallest nonzero weight 1\.0 vanishes against "
+                                         r"the weight sum 2e\+307; cuts could not be resolved$"):
+        WeightedGraph(w)
+    w[0, 1] = w[1, 0] = 1e15  # 1 is still resolved against 2e15 + 130
+    assert exhaustive_best(WeightedGraph(w), 3).cut == 27.0
+    w[w == 1.0] = 0.0  # zero weights are not compared with the sum
+    assert WeightedGraph(w).weight_sum == 2e15
+
+
 @pytest.mark.parametrize("n, c", [(6, 0), (6, 4), (6, -1), (7, 4), (2, 2)])
 def test_check_budget_refuses_c_outside_one_to_half_n(n, c):
     with pytest.raises(ValueError, match=rf"^c must be in \[1, n/2\] = \[1, {n // 2}\], got {c}$"):

@@ -7,6 +7,7 @@ import pytest
 
 import pce_mincut.solver as solver_mod
 
+from conftest import read_at_theta_final
 from pce_mincut.graph import generate_complete_graph, write_graph
 from pce_mincut.encoding import enumerate_strings
 from pce_mincut.harness import (
@@ -538,6 +539,19 @@ def test_lockstep_plan_writes_the_records_of_sequential_runs(
     assert _strip(records) == _strip(sequential_lockstep_records)
     assert _strip(read_records(path)) == _strip(records)
     assert all(r["wall_time_s"] > 0 for r in records)
+
+
+def test_lockstep_runs_are_read_at_theta_final():
+    plan = small_plan(**LOCKSTEP_KW)
+    g = plan.graph.load()
+    records, report = run_plan(plan)
+    assert not report.failures
+    for rec in records:
+        out = rec["outcome"]
+        z, soft = read_at_theta_final(config_from_dict(rec["config"], g),
+                                      np.array(out["theta_final"]), out["final_alpha"])
+        assert z.tolist() == out["z"]
+        assert soft.tolist() == out["soft"]
 
 
 def test_a_failing_run_gives_its_error_record_in_place(

@@ -11,6 +11,7 @@ from pce_mincut.optimize import (
     EvaluationError,
     OptimizerConfig,
     minimize,
+    nelder_mead,
     random_init,
 )
 from pce_mincut.quantum import ExpectationKernel, parameter_count, prepare_state
@@ -43,6 +44,30 @@ def test_constant_function_converges():
     assert res.converged
     assert res.best_value == 2.5
     assert res.evals < 400 * 3  # well before the budget
+
+
+def test_a_tie_for_the_best_value_keeps_the_first_tag():
+    # a staircase: many points share the lowest value, each sent with its
+    # evaluation index as the tag
+    def staircase(x):
+        return float(np.floor(np.sum((x - 1.0) ** 2)))
+
+    run = nelder_mead(np.array([3.0, -2.0]), 200, "context")
+    points, values = [], []
+    try:
+        x, context = next(run)
+        while True:
+            assert context == "context"
+            points.append(np.array(x))
+            values.append(staircase(x))
+            x, context = run.send((values[-1], len(values) - 1))
+    except StopIteration as stop:
+        res = stop.value
+    first = values.index(min(values))
+    assert values.count(values[first]) > 1
+    assert res.best_tag == first and res.best_value == values[first]
+    assert np.array_equal(res.best_params, points[first])
+    assert minimize(staircase, np.array([3.0, -2.0])).best_tag is None
 
 
 def recording(objective):

@@ -288,6 +288,17 @@ def test_sa_on_a_zero_weight_graph_starts_cold():
         assert res.cut == 0.0
 
 
+def test_sa_refuses_a_start_temperature_that_overflows():
+    # the weights sum to 1e307, but the largest one times n is 2e308
+    w = np.zeros((40, 40))
+    w[0, 1] = w[1, 0] = 5e306
+    with pytest.raises(ValueError, match=r"^the SA start temperature, largest weight "
+                                         r"5e\+306 times n=40, overflows$"):
+        sa_solve(WeightedGraph(w), 2)
+    w[0, 1] = w[1, 0] = 4e306  # 1.6e308 is finite, so the run goes ahead
+    assert sa_solve(WeightedGraph(w), 2, SaConfig(steps=50)).cut == 0.0
+
+
 def _blocks_of(decisions):
     """(size, first accepted step or None) of each block the cold phase
     scores, from one restart's (cold, accepted) decisions."""

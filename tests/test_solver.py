@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pce_mincut.solver as solver_mod
+from conftest import read_at_theta_final
 from pce_mincut.graph import generate_complete_graph
 from pce_mincut.objective import binarization
 from pce_mincut.optimize import EvaluationError, OptimizerConfig, random_init
@@ -147,9 +148,9 @@ def test_warm_start_chains_theta(k6, monkeypatch):
     starts, finals = [], []
     real = solver_mod.nelder_mead
 
-    def recording_nelder_mead(x0, max_evals):
+    def recording_nelder_mead(x0, max_evals, context=None):
         starts.append(np.array(x0))
-        res = yield from real(x0, max_evals)
+        res = yield from real(x0, max_evals, context)
         finals.append(np.array(res.best_params))
         return res
 
@@ -158,6 +159,22 @@ def test_warm_start_chains_theta(k6, monkeypatch):
     assert len(starts) == out.outer_iters
     for t in range(1, len(starts)):
         assert np.array_equal(starts[t], finals[t - 1])
+
+
+@pytest.mark.parametrize("solver_spec", [
+    SolverSpec(mode="fixed", alpha=5.0, optimizer=FAST),
+    SolverSpec(optimizer=FAST),
+], ids=["fixed", "iterative"])
+def test_the_outcome_is_read_at_theta_final(k6, solver_spec):
+    # z and soft come from the e that nelder_mead kept with its best value,
+    # so the e recomputed at theta_final gives them bit for bit
+    for c, seed in [(2, 0), (2, 7), (3, 2)]:
+        cfg = solver_spec.config(k6, c, seed)
+        out = solve(cfg)
+        assert out.outer_iters < cfg.max_outer_iters
+        z, soft = read_at_theta_final(cfg, out.theta_final, out.final_alpha)
+        assert np.array_equal(z, out.z)
+        assert soft.tobytes() == out.soft.tobytes()
 
 
 def test_iterative_deterministic(k6):
