@@ -30,14 +30,13 @@ import time
 from pathlib import Path
 
 from .encoding import FAMILIES, PAULI_LETTERS
-from .graph import WEIGHT_MODES, generate_complete_graph, read_graph, write_graph
+from .graph import (JSON_KINDS, WEIGHT_MODES, generate_complete_graph, json_fits, read_graph,
+                    write_graph)
 from .harness import (
-    JSON_KINDS,
     ExperimentPlan,
     GraphSource,
     aggregate,
     emit_report,
-    json_fits,
     make_record,
     normalizing_baseline,
     read_records,
@@ -192,7 +191,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = read_graph(args.graph)
+    source = GraphSource(kind="file", path=str(args.graph))
+    g = source.load()
     spec = SolverSpec(mode=args.alpha_mode, alpha=args.alpha, **_solver_kwargs(args))
     # the two caps are settings of this one run, not of a plan's solvers
     cfg = dataclasses.replace(spec.config(g, args.c, args.seed),
@@ -201,7 +201,6 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     outcome = solve(cfg)
     wall = time.perf_counter() - t0
-    source = GraphSource(kind="file", path=str(args.graph))
     record = make_record(cfg, outcome, source.to_dict(g), label="cli-solve",
                          pair_id=None, baseline=baseline, wall_time_s=wall)
     print(json.dumps(record, indent=2))

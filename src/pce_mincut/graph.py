@@ -160,8 +160,10 @@ def _as_assignment(z, n: int | None = None) -> np.ndarray:
 def cut_size(g: WeightedGraph, z) -> float:
     """Total weight of edges whose endpoints carry opposite signs."""
     zf = _as_assignment(z, g.n)
-    # sum_{i<j} d_ij (1 - z_i z_j)/2 == (sum(d) - z.W.z)/4 with zero diagonal
-    return float(0.25 * (g.weight_sum - zf @ g.weights @ zf))
+    # sum_{i<j} d_ij (1 - z_i z_j)/2 == (sum(d) - z.W.z)/4 with zero diagonal;
+    # the cut is a sum of non-negative weights, so a difference that rounds
+    # below 0 reads 0
+    return max(0.0, float(0.25 * (g.weight_sum - zf @ g.weights @ zf)))
 
 
 def partition_count(z) -> tuple[int, int]:
@@ -181,15 +183,30 @@ def graph_hash(g: WeightedGraph) -> str:
 
 # --- file I/O ---------------------------------------------------------------
 #
-# Two formats:
+# Two formats, each with a parser giving n and (i, j, w, where) edge triples:
 #   JSON:      {"n": int, "edges": [[i, j, w], ...]}, unlisted pairs weigh 0
 #   edge list: one "i j w" triple per line, '#' starts a comment
 
+# the JSON values that stand for each Python type, and their name in an
+# error; a bool is no int or number here
+JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+              str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
+
+def json_fits(value, kind: type) -> bool:
+    """Whether a JSON value is of kind, a key of JSON_KINDS."""
+    return isinstance(value, JSON_KINDS[kind][0]) and isinstance(value, bool) == (kind is bool)
+
+
 def read_graph(path) -> WeightedGraph:
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return _read_json(text, str(path))
-    return _read_edge_list(text, str(path))
+    parse = _parse_json if text.lstrip().startswith("{") else _parse_edge_list
+    n, triples = parse(text, str(path))
+    w = np.zeros((n, n))
+    seen: dict = {}
+    for i, j, val, where in triples:
+        _insert_edge(w, seen, i, j, val, where)
+    return WeightedGraph(w)
 
 
 def write_graph(g: WeightedGraph, path) -> None:
@@ -229,7 +246,7 @@ def _insert_edge(w: np.ndarray, seen: dict, i: int, j: int, val: float, where: s
     w[i, j] = w[j, i] = val
 
 
-def _read_json(text: str, name: str) -> WeightedGraph:
+def _parse_json(text: str, name: str) -> tuple[int, list]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -237,27 +254,26 @@ def _read_json(text: str, name: str) -> WeightedGraph:
     if not isinstance(data, dict) or "n" not in data:
         raise GraphFormatError(f"{name}: missing field 'n'")
     n = data["n"]
-    if not isinstance(n, int) or n < 2:
+    if not json_fits(n, int) or n < 2:
         raise GraphFormatError(f"{name}: field 'n' must be an integer >= 2")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise GraphFormatError(f"{name}: field 'edges' must be a list")
-    w = np.zeros((n, n))
-    seen: dict = {}
+    triples = []
     for idx, edge in enumerate(edges):
         where = f"{name}: edges[{idx}]"
         if not (isinstance(edge, (list, tuple)) and len(edge) == 3):
             raise GraphFormatError(f"{where}: expected [i, j, w]")
         i, j, val = edge
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (json_fits(i, int) and json_fits(j, int)):
             raise GraphFormatError(f"{where}: node indices must be integers")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not json_fits(val, float):
             raise GraphFormatError(f"{where}: weight must be a number")
-        _insert_edge(w, seen, i, j, float(val), where)
-    return WeightedGraph(w)
+        triples.append((i, j, float(val), where))
+    return n, triples
 
 
-def _read_edge_list(text: str, name: str) -> WeightedGraph:
+def _parse_edge_list(text: str, name: str) -> tuple[int, list]:
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -280,8 +296,4 @@ def _read_edge_list(text: str, name: str) -> WeightedGraph:
     n = max(max(i, j) for i, j, _, _ in triples) + 1
     if n < 2:
         raise GraphFormatError(f"{name}: needs at least 2 nodes")
-    w = np.zeros((n, n))
-    seen: dict = {}
-    for i, j, val, where in triples:
-        _insert_edge(w, seen, i, j, val, where)
-    return WeightedGraph(w)
+    return n, triples

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import EncodingSpec
-from .graph import WeightedGraph, check_budget, generate_complete_graph, graph_hash, read_graph
+from .graph import (JSON_KINDS, WeightedGraph, check_budget, generate_complete_graph, graph_hash,
+                    json_fits, read_graph)
 from .objective import ObjectiveSpec, binarization
 from .optimize import F_TOL, INITIAL_STEP, METHOD, X_TOL, OptimizerConfig
 from .oracles import SaConfig, baseline_cut, normalized_cut, positive_baseline
@@ -131,7 +132,14 @@ class ExperimentPlan:
             if labels.count(label) > 1:
                 raise ValueError(f"two solvers of the plan label their runs {label!r}")
         if self.c_values is not None:
-            object.__setattr__(self, "c_values", tuple(int(c) for c in self.c_values))
+            c_values = tuple(int(c) for c in self.c_values)
+            if not c_values:
+                raise ValueError("plan has no c values")
+            # the report pairs runs by pair_id, which names c but not its position
+            for c in c_values:
+                if c_values.count(c) > 1:
+                    raise ValueError(f"the plan lists c={c} more than once")
+            object.__setattr__(self, "c_values", c_values)
 
     def resolve_c_values(self, n: int) -> tuple[int, ...]:
         if self.c_values is None:
@@ -280,17 +288,6 @@ def replay_record(record: dict) -> SolveOutcome:
 # every key of make_record's records; _error_record's need only "error"
 _RUN_RECORD_KEYS = ("artifact_version", "label", "role", "pair_id", "c", "graph",
                     "config", "outcome", "metrics", "wall_time_s")
-# the JSON values that stand for each Python type, and their name in an
-# error; a bool is no int or number here
-JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-              str: ((str,), "a string"), bool: ((bool,), "true or false")}
-
-
-def json_fits(value, kind: type) -> bool:
-    """Whether a JSON value is of kind, a key of JSON_KINDS."""
-    return isinstance(value, JSON_KINDS[kind][0]) and isinstance(value, bool) == (kind is bool)
-
-
 # runs.csv's columns, the record keys they hold and the kind of value the
 # report reads there: with pair_id and outcome.history, every key of a run
 # record that the report reads

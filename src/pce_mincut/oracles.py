@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import WeightedGraph, check_budget, cut_size, graph_hash
+from .graph import WeightedGraph, check_budget, cut_size, graph_hash, json_fits
 
 __all__ = [
     "SaConfig",
@@ -360,9 +360,8 @@ def _read_cache(path: Path) -> dict:
 
 def _cached_cut(path: Path, key: str, value) -> float:
     """A cache hit as a cut; ValueError naming the file and key unless it is a
-    finite number >= 0 (a bool is no number here)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 <= value <= sys.float_info.max):  # NaN fails each comparison
+    finite number >= 0 (NaN fails both comparisons)."""
+    if not (json_fits(value, float) and 0 <= value <= sys.float_info.max):
         raise ValueError(f"baseline cache {path} holds {value!r} at {key!r}; "
                          "a cut must be a finite number >= 0")
     return float(value)

@@ -109,8 +109,6 @@ class PceConfig:
                              f"got {self.alpha_cap}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.layers < 1:
-            raise ValueError("layers must be at least 1")
         self.optimizer.budget(parameter_count(self.objective.encoding.m, self.layers))
 
 

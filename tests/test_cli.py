@@ -270,6 +270,7 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
     ("bench --graph {tmp}/bad.txt --reps 1", "bench: {tmp}/bad.txt:2: "),
     ("solve --graph {tmp}/bad.txt --c 2", "solve: {tmp}/bad.txt:2: "),
     ("bench --n 6 --c-values 4 --reps 1", "bench: c must be in [1, n/2] = [1, 3], got 4"),
+    ("bench --n 6 --c-values 2 2 --reps 1", "bench: the plan lists c=2 more than once"),
     ("baseline --graph {tmp}/k4.json --c 3", "baseline: c must be in [1, n/2] = [1, 2], got 3"),
     ("bench --n 4 --reps 1 --cache {tmp}/cache.json",
      "bench: baseline cache {tmp}/cache.json is not valid JSON"),
@@ -282,8 +283,8 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
      "bench: two solvers of the plan label their runs 'iterative'"),
     ("solve --graph {tmp}/k4.json --c 2 --alpha-mode fixed",
      "solve: fixed-alpha solver needs an alpha value"),
-], ids=["bench-graph-file", "solve-graph-file", "c-values", "baseline-c", "cache", "records",
-        "config-list", "config-not-json", "solver-labels", "fixed-without-alpha"])
+], ids=["bench-graph-file", "solve-graph-file", "c-values", "repeated-c", "baseline-c", "cache",
+        "records", "config-list", "config-not-json", "solver-labels", "fixed-without-alpha"])
 def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.txt").write_text("0 1 1.0\n1 x 2.0\n")
     (tmp_path / "cache.json").write_text("not json\n")

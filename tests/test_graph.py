@@ -159,6 +159,23 @@ def test_cut_size_length_mismatch(k3):
         cut_size(k3, [1, 0, -1])
 
 
+def test_a_cut_that_rounds_below_zero_reads_zero():
+    # (sum - z'Wz)/4 subtracts two sums near 2e300; the cut of {4, 5, 6} is 0
+    w = np.zeros((12, 12))
+    w[0, 1] = w[1, 0] = 1e300
+    w[2, 3] = w[3, 2] = 1e290
+    g = WeightedGraph(w)
+    z = np.ones(12)
+    z[[4, 5, 6]] = -1
+    assert 0.25 * (g.weight_sum - z @ g.weights @ z) < 0.0
+    assert cut_size(g, z) == 0.0
+    assert exhaustive_best(g, 3).cut == 0.0
+    # a cut that does not round below 0 keeps its bits
+    z = np.ones(12)
+    z[[0, 2]] = -1
+    assert cut_size(g, z) == 0.25 * (g.weight_sum - z @ g.weights @ z) > 0.0
+
+
 def test_partition_count():
     assert partition_count([1, -1, -1]) == (2, 1)
     assert partition_count([-1] * 6) == (6, 0)
@@ -253,6 +270,23 @@ def test_malformed_edge_lists(tmp_path, content):
     p = tmp_path / "g.txt"
     p.write_text(content)
     with pytest.raises(GraphFormatError):
+        read_graph(p)
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"n": 3, "edges": [[true, false, 1.0], [1, 2, 2.0]]}',
+     r"edges\[0\]: node indices must be integers"),
+    ('{"n": true, "edges": []}', "field 'n' must be an integer >= 2"),
+    ('{"n": 3, "edges": [[0, 1, true]]}', r"edges\[0\]: weight must be a number"),
+    ('{"n": 3, "edges": [[0, 1, 2.0], [1.0, 2, 1.0]]}',
+     r"edges\[1\]: node indices must be integers"),
+], ids=["bool-indices", "bool-n", "bool-weight", "float-index"])
+def test_malformed_json_graphs(tmp_path, content, message):
+    # a bool is no JSON integer or number; read as one, [true, false, 1.0]
+    # would be a numpy mask write that sets no edge
+    p = tmp_path / "g.json"
+    p.write_text(content)
+    with pytest.raises(GraphFormatError, match=message):
         read_graph(p)
 
 

@@ -458,6 +458,15 @@ def test_plan_refuses_two_solvers_with_one_label(solvers, label):
         small_plan(solvers=solvers)
 
 
+@pytest.mark.parametrize("c_values, message", [
+    ((2, 3, 2), "the plan lists c=2 more than once"), ((), "plan has no c values"),
+], ids=["repeated", "empty"])
+def test_plan_refuses_repeated_or_no_c_values(c_values, message):
+    # two runs of one c would share a pair_id, and the report would count one pair
+    with pytest.raises(ValueError, match=message):
+        small_plan(c_values=c_values)
+
+
 def test_a_paired_label_ending_in_control_keeps_its_pairs():
     records = read_records(V0_2_0_RECORDS)
     for rec in records:
