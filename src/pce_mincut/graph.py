@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -198,6 +199,17 @@ def json_fits(value, kind: type) -> bool:
     return isinstance(value, JSON_KINDS[kind][0]) and isinstance(value, bool) == (kind is bool)
 
 
+def write_atomically(path: Path, text: str) -> None:
+    """Replace path's contents in one step, so a crash leaves the old file whole."""
+    # same directory, so the rename stays on one file system
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def read_graph(path) -> WeightedGraph:
     text = Path(path).read_text()
     parse = _parse_json if text.lstrip().startswith("{") else _parse_edge_list
@@ -283,6 +295,8 @@ def _parse_edge_list(text: str, name: str) -> tuple[int, list]:
         where = f"{name}:{lineno}"
         if len(parts) != 3:
             raise GraphFormatError(f"{where}: expected 'i j w', got {raw!r}")
+        if "_" in line or not line.isascii():  # int() and float() read 1_0 as 10, and non-ASCII digits
+            raise GraphFormatError(f"{where}: expected plain ASCII numbers, got {raw!r}")
         try:
             i, j = int(parts[0]), int(parts[1])
             val = float(parts[2])

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import traceback
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .encoding import EncodingSpec
 from .graph import (JSON_KINDS, WeightedGraph, check_budget, generate_complete_graph, graph_hash,
-                    json_fits, read_graph)
+                    json_fits, read_graph, write_atomically)
 from .objective import ObjectiveSpec, binarization
 from .optimize import F_TOL, INITIAL_STEP, METHOD, X_TOL, OptimizerConfig
 from .oracles import SaConfig, baseline_cut, normalized_cut, positive_baseline
@@ -132,6 +133,9 @@ class ExperimentPlan:
             if labels.count(label) > 1:
                 raise ValueError(f"two solvers of the plan label their runs {label!r}")
         if self.c_values is not None:
+            for c in self.c_values:
+                if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                    raise ValueError(f"c values must be integers, got {c!r}")
             c_values = tuple(int(c) for c in self.c_values)
             if not c_values:
                 raise ValueError("plan has no c values")
@@ -371,54 +375,69 @@ def _cell_seed(seed_base: int, c: int, rep: int) -> int:
     return seed_base + 1000 * c + rep
 
 
-def _cell_steps(cell: tuple, clock):
+def _cell_steps(cell: tuple, shared: tuple, clock):
     """A cell's runs as one step generator for run_lockstep: the solver's run,
     then its paired control. Returns the cell's records; clock() reads the
     cell's share of the driver's wall time so far."""
-    cfg, graph_info, spec, c, rep, baseline, record_history = cell
+    spec, rep, cfg = cell
+    graph_info, baselines, record_history = shared
+    c = cfg.objective.c
     pair_id = f"{spec.label}-c{c}-r{rep}"
     out = yield from solve_steps(cfg)
     wall = clock()
-    records = [
-        make_record(cfg, out, graph_info, spec.label,
-                    pair_id if spec.paired_control else None,
-                    baseline, wall, record_history)
-    ]
+    records = [make_record(cfg, out, graph_info, spec.label, pair_id if spec.paired_control else None,
+                           baselines[c], wall, record_history)]
     if spec.paired_control:
         ctrl_cfg = control_config(out, cfg)
         ctrl = yield from solve_steps(ctrl_cfg)
-        records.append(
-            make_record(ctrl_cfg, ctrl, graph_info, f"{spec.label}-control", pair_id,
-                        baseline, clock() - wall, record_history)
-        )
+        records.append(make_record(ctrl_cfg, ctrl, graph_info, f"{spec.label}-control", pair_id,
+                                   baselines[c], clock() - wall, record_history))
     return records
 
 
-def _error_record(cell: tuple, exc: Exception) -> dict:
+def _error_record(cell: tuple, graph_info: dict, exc: Exception) -> dict:
     """A failed cell's record; failures are data and the plan goes on."""
-    _, graph_info, spec, c, rep, *_ = cell
+    spec, rep, cfg = cell
     return {
         "artifact_version": ARTIFACT_VERSION,
         "error": f"{type(exc).__name__}: {exc}",
         "traceback": "".join(traceback.format_exception(exc)),
         "label": spec.label,
-        "c": c,
+        "c": cfg.objective.c,
         "rep": rep,
         "graph": graph_info,
     }
 
 
-def _run_cells(cells: list[tuple]):
-    """Run cells in lockstep; yields (position, records) as each cell ends."""
+def _run_cells(cells: list[tuple], shared: tuple):
+    """Run cells in lockstep; yields (index, records) as each cell ends."""
     spent = [0.0] * len(cells)
-    jobs = [_cell_steps(cell, lambda i=i: spent[i]) for i, cell in enumerate(cells)]
+    jobs = [_cell_steps(cell, shared, lambda i=i: spent[i]) for i, cell in enumerate(cells)]
     for i, result in run_lockstep(jobs, spent):
-        yield i, [_error_record(cells[i], result)] if isinstance(result, Exception) else result
+        yield i, [_error_record(cells[i], shared[0], result)] if isinstance(result, Exception) else result
 
 
-def _run_share(cells: list[tuple]) -> list[tuple[int, list[dict]]]:
-    """One worker's cells, run in lockstep; (position, records) as each cell ended."""
-    return list(_run_cells(cells))
+def _run_share(cells: list[tuple], shared: tuple) -> list[tuple[int, list[dict]]]:
+    """One worker's cells, run in lockstep; (index, records) as each cell ended."""
+    return list(_run_cells(cells, shared))
+
+
+def _ended_cells(cells: list[tuple], shared: tuple, workers: int):
+    """Yields (position, records) as each cell ends; with workers > 1, as each
+    worker's share ends. Worker k's share is cells[k::workers]."""
+    if workers == 1:
+        yield from _run_cells(cells, shared)
+        return
+    # imported here, as it loads multiprocessing and socket (~20 ms a process)
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_run_share, cells[k::workers], shared): k
+                   for k in range(workers)}
+        for future in as_completed(futures):
+            # worker k's i-th cell is cells[k + i * workers]
+            for i, cell_records in future.result():
+                yield futures[future] + i * workers, cell_records
 
 
 def run_plan(
@@ -429,71 +448,41 @@ def run_plan(
     """Execute every (solver, c, repetition) cell and aggregate the records.
 
     Every cell's config is built before the first baseline, so a bad solver
-    setting raises its ValueError before any work. The cells run in lockstep (solver.run_lockstep), each worker process
-    driving a round-robin share of them. Records are released in cell order,
-    each cell's run before its control, once the cell and every earlier cell
-    have ended; with workers > 1, only once the cell's worker has ended its
-    whole share. They stream to records_path (JSON lines), so the released
-    prefix of a campaign survives a crash, and progress, if given, is called
-    with each record. A record's wall_time_s is its run's share of the
-    lockstep steps it took part in, so a plan's records add up to the time
-    its cells ran.
+    setting raises its ValueError before any work. The cells run in lockstep
+    (solver.run_lockstep); with workers > 1, worker k drives the share
+    cells[k::workers]. As each cell ends (as each worker's share ends, with
+    workers > 1), its records, the run's before its control's, are appended
+    to records_path (JSON lines) and passed to progress, if given. So a
+    crashed run's file holds every ended cell, in the order the cells ended.
+    Once every cell has ended, records_path is replaced in one step by the
+    records in cell order, which are also what run_plan returns. A record's
+    wall_time_s is its run's share of the lockstep steps it took part in, so
+    a plan's records add up to the time its cells ran.
     """
     graph = plan.graph.load()
-    graph_info = plan.graph.to_dict(graph)
     c_values = plan.resolve_c_values(graph.n)
-    configs = [(spec, c, rep, spec.config(graph, c, _cell_seed(plan.seed_base, c, rep)))
-               for spec in plan.solvers
-               for c in c_values
-               for rep in range(plan.repetitions)]
+    cells = [(spec, rep, spec.config(graph, c, _cell_seed(plan.seed_base, c, rep)))
+             for spec in plan.solvers
+             for c in c_values
+             for rep in range(plan.repetitions)]
     baselines = {c: normalizing_baseline(graph, c, plan.baseline_method, plan.baseline_seed,
                                          plan.baseline_cache)
                  for c in c_values}
+    shared = (plan.graph.to_dict(graph), baselines, plan.record_history)
 
-    cells = [(cfg, graph_info, spec, c, rep, baselines[c], plan.record_history)
-             for spec, c, rep, cfg in configs]
-
-    writer = open(records_path, "w") if records_path is not None else None
-    records: list[dict] = []
-    ended: dict[int, list[dict]] = {}  # records of cells waiting on an earlier cell
-    next_cell = 0
-
-    def release(position: int, cell_records: list[dict]) -> None:
-        nonlocal next_cell
-        ended[position] = cell_records
-        while next_cell in ended:
-            for rec in ended.pop(next_cell):
-                _emit_record(rec, records, writer, progress)
-            next_cell += 1
-
-    try:
-        if plan.workers > 1:
-            # imported here, as it loads multiprocessing and socket (~20 ms a process)
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-
-            shares = [list(range(k, len(cells), plan.workers)) for k in range(plan.workers)]
-            with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-                futures = {pool.submit(_run_share, [cells[j] for j in share]): share
-                           for share in shares if share}
-                for future in as_completed(futures):
-                    for i, cell_records in future.result():
-                        release(futures[future][i], cell_records)
-        else:
-            for j, cell_records in _run_cells(cells):
-                release(j, cell_records)
-    finally:
-        if writer is not None:
-            writer.close()
+    by_cell: list[list[dict]] = [[] for _ in cells]
+    with open(records_path, "w") if records_path is not None else nullcontext() as writer:
+        for position, cell_records in _ended_cells(cells, shared, plan.workers):
+            by_cell[position] = cell_records
+            for rec in cell_records:
+                if writer is not None:
+                    print(json.dumps(rec), file=writer, flush=True)
+                if progress is not None:
+                    progress(rec)
+    records = [rec for cell_records in by_cell for rec in cell_records]
+    if records_path is not None:
+        write_atomically(Path(records_path), "".join(json.dumps(rec) + "\n" for rec in records))
     return records, aggregate(records)
-
-
-def _emit_record(rec: dict, records: list, writer, progress) -> None:
-    records.append(rec)
-    if writer is not None:
-        writer.write(json.dumps(rec) + "\n")
-        writer.flush()
-    if progress is not None:
-        progress(rec)
 
 
 # --- aggregation -------------------------------------------------------------

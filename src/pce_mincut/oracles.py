@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import WeightedGraph, check_budget, cut_size, graph_hash, json_fits
+from .graph import WeightedGraph, check_budget, cut_size, graph_hash, json_fits, write_atomically
 
 __all__ = [
     "SaConfig",
@@ -344,7 +343,7 @@ def baseline_cut(
 
     if cache_path is not None:
         cache[key] = value
-        _write_atomically(Path(cache_path), json.dumps(cache, indent=0, sort_keys=True) + "\n")
+        write_atomically(Path(cache_path), json.dumps(cache, indent=0, sort_keys=True) + "\n")
     return value
 
 
@@ -366,13 +365,3 @@ def _cached_cut(path: Path, key: str, value) -> float:
                          "a cut must be a finite number >= 0")
     return float(value)
 
-
-def _write_atomically(path: Path, text: str) -> None:
-    """Replace path's contents in one step, so a crash leaves the old file whole."""
-    # same directory, so the rename stays on one file system
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

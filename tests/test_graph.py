@@ -264,7 +264,9 @@ def test_edge_list_error_reports_line(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["0 0 1.0\n", "0 1 -2.0\n", "0 1\n", ""],
+    # int() and float() alone would read the last three as edge (0, 10),
+    # weight 25.0 and node 1
+    ["0 0 1.0\n", "0 1 -2.0\n", "0 1\n", "", "0 1_0 1.0\n", "0 1 2_5\n", "0 \u0661 1.0\n"],
 )
 def test_malformed_edge_lists(tmp_path, content):
     p = tmp_path / "g.txt"

@@ -398,6 +398,17 @@ def test_replay_after_json_round_trip(plan_results):
     assert out.theta_final.tolist() == rec["outcome"]["theta_final"]
 
 
+def test_a_single_pauli_mixed_record_replays_after_a_json_round_trip():
+    # its encoding's k_range, a tuple, is written as a JSON list
+    spec = SolverSpec(label="mixed", mode="fixed", alpha=3.0, family="single_pauli_mixed", k=2,
+                      optimizer=OptimizerConfig(max_evals=60))
+    records, report = run_plan(small_plan(repetitions=1, solvers=(spec,)))
+    assert not report.failures
+    rec = json.loads(json.dumps(records[0]))
+    assert rec["config"]["encoding"]["k_range"] == [1, 2]
+    assert outcome_to_dict(replay_record(rec)) == rec["outcome"]
+
+
 def test_failure_records_keep_plan_running(monkeypatch):
     # a bad setting is refused before the plan runs, so break the boom
     # solver at run time instead: its loss (the only one at beta=7) is NaN
@@ -460,9 +471,12 @@ def test_plan_refuses_two_solvers_with_one_label(solvers, label):
 
 @pytest.mark.parametrize("c_values, message", [
     ((2, 3, 2), "the plan lists c=2 more than once"), ((), "plan has no c values"),
-], ids=["repeated", "empty"])
+    ((2.7,), "c values must be integers, got 2.7"), ((True,), "c values must be integers, got True"),
+    (("2",), "c values must be integers, got '2'"),
+], ids=["repeated", "empty", "float", "bool", "string"])
 def test_plan_refuses_repeated_or_no_c_values(c_values, message):
-    # two runs of one c would share a pair_id, and the report would count one pair
+    # two runs of one c would share a pair_id, and the report would count one
+    # pair; int() would run 2.7 as c=2 and True as c=1
     with pytest.raises(ValueError, match=message):
         small_plan(c_values=c_values)
 
@@ -596,6 +610,23 @@ def test_a_plan_prepares_one_state_per_evaluation(prepared_rows):
     assert not report.failures and len(records) == 4
     assert max(prepared_rows) > 1  # the cells shared stacked calls
     assert sum(prepared_rows) == sum(r["outcome"]["inner_evals"] for r in records)
+
+
+def test_a_cell_is_written_as_it_ends(prepared_rows, tmp_path):
+    # small_plan's cells share one ansatz, so each lockstep step prepares
+    # states once; at the first record fewer steps than the plan's have run
+    path = tmp_path / "records.jsonl"
+    arrivals = []
+
+    def progress(rec):
+        arrivals.append((len(prepared_rows), json.dumps(rec) in path.read_text().splitlines()))
+
+    records, report = run_plan(small_plan(), records_path=path, progress=progress)
+    assert not report.failures and len(arrivals) == len(records) == 4
+    assert all(on_disk for _, on_disk in arrivals)
+    assert arrivals[0][0] < len(prepared_rows)
+    # the finished file holds the returned records, in cell order
+    assert path.read_text() == "".join(json.dumps(rec) + "\n" for rec in records)
 
 
 def test_a_failing_batched_call_fails_only_the_cells_it_served(
