@@ -56,9 +56,17 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value: an optional '-' and ASCII digits, nothing else
+    (int() alone also reads '1_0' as 10 and non-ASCII digits)."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return int(text)
+
+
 def _kind(action: argparse.Action) -> type:
     """The JSON_KINDS key of a flag's values."""
-    return bool if action.nargs == 0 else action.type if action.type in (int, float) else str
+    return bool if action.nargs == 0 else {_integer: int, float: float}.get(action.type, str)
 
 
 def _fits_one(action: argparse.Action, value) -> bool:
@@ -153,9 +161,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--update-rule", choices=UPDATE_RULES, default=None)
     parser.add_argument("--family", choices=FAMILIES, default="full_xyz")
     parser.add_argument("--pauli", choices=list(PAULI_LETTERS), default="Z")
-    parser.add_argument("--k", type=int, default=None, help="Pauli-string order (default by size)")
-    parser.add_argument("--layers", type=int, default=1)
-    parser.add_argument("--max-evals", type=int, default=None, help="optimizer evaluation budget")
+    parser.add_argument("--k", type=_integer, default=None,
+                        help="Pauli-string order (default by size)")
+    parser.add_argument("--layers", type=_integer, default=1)
+    parser.add_argument("--max-evals", type=_integer, default=None,
+                        help="optimizer evaluation budget")
 
 
 def _solver_kwargs(args) -> dict:
@@ -278,36 +288,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a graph instance")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--weights", choices=WEIGHT_MODES, default="unit")
     p.add_argument("--low", type=float, default=0.0)
     p.add_argument("--high", type=float, default=1.0)
     p.add_argument("--drop-prob", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", type=str, required=True)
     _add_config_flag(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("baseline", help="classical baseline cut")
     p.add_argument("--graph", type=str, required=True)
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--c", type=_integer, required=True)
     p.add_argument("--method", choices=BASELINE_METHODS, default="sa")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--cache", type=str, default=None)
     _add_config_flag(p)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("solve", help="single run, prints a JSON run record")
     p.add_argument("--graph", type=str, required=True)
-    p.add_argument("--c", type=int, required=True, help="budget: nodes on the selected side")
+    p.add_argument("--c", type=_integer, required=True, help="budget: nodes on the selected side")
     p.add_argument("--alpha-mode", choices=MODES, default="iterative")
     p.add_argument("--alpha", type=float, default=None, help="sharpness for fixed mode")
-    p.add_argument("--max-outer-iters", type=int, default=50)
+    p.add_argument("--max-outer-iters", type=_integer, default=50)
     p.add_argument("--alpha-cap", type=float, default=1e16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     _add_solver_flags(p)
     p.add_argument("--baseline-method", choices=BASELINE_METHODS, default="sa")
-    p.add_argument("--baseline-seed", type=int, default=0)
+    p.add_argument("--baseline-seed", type=_integer, default=0)
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--history", type=str, default=None, help="write per-iteration CSV here")
     p.add_argument("--records", type=str, default=None, help="append the record to this JSONL file")
@@ -316,22 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run an experiment plan")
     p.add_argument("--graph", type=str, default=None, help="graph file (or use --n)")
-    p.add_argument("--n", type=int, default=None, help="generate a complete graph of this size")
+    p.add_argument("--n", type=_integer, default=None,
+                   help="generate a complete graph of this size")
     p.add_argument("--weights", choices=WEIGHT_MODES, default="unit")
     p.add_argument("--low", type=float, default=0.0)
     p.add_argument("--high", type=float, default=1.0)
     p.add_argument("--drop-prob", type=float, default=0.0)
-    p.add_argument("--graph-seed", type=int, default=0)
-    p.add_argument("--c-values", type=int, nargs="*", default=None,
+    p.add_argument("--graph-seed", type=_integer, default=0)
+    p.add_argument("--c-values", type=_integer, nargs="*", default=None,
                    help="budget values (default: every c in [2, n/2])")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed-base", type=int, default=0)
+    p.add_argument("--reps", type=_integer, default=10)
+    p.add_argument("--seed-base", type=_integer, default=0)
     p.add_argument("--baseline-method", choices=BASELINE_METHODS, default="sa")
-    p.add_argument("--baseline-seed", type=int, default=0)
+    p.add_argument("--baseline-seed", type=_integer, default=0)
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--records", type=str, default=None, help="JSONL output path")
     p.add_argument("--report-dir", type=str, default=None)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_integer, default=1,
                    help="processes; each runs a round-robin share of the plan's cells "
                         "in lockstep")
     p.add_argument("--no-history", action="store_true")

@@ -31,17 +31,21 @@ visited state satisfies the budget exactly and no penalty term ever enters
 the oracle. Its steps run on Python floats, which round exactly as float64
 does, so a step decides as the same arithmetic on numpy scalars would.
 
-Each restart of sa_solve runs in two phases. While the temperature is above
-1e-12 (the hot phase) every step scores its swap and takes Metropolis's
-rule. From the first step at or below 1e-12 (the cold phase) only a swap
-with delta <= 0 is accepted, and most steps are rejected. The cold phase
-steps one at a time until SA_QUIET steps in a row have been rejected; then
-it scores the swaps of the next SA_BLOCK steps at once against the current
-state, applies the first with delta <= 0, and goes back to single steps.
-A rejected step leaves the state as it was, so each step of a block is
-scored against the state it would have seen alone, and numpy adds the same
-five float64 terms in the same order as a single step does. Every delta,
-decision and cut therefore has the one-step-at-a-time loop's bits.
+Each restart of sa_solve takes one rule at every step: a swap is accepted
+if delta <= 0, or if T > 0.0 and its draw is below exp(-delta/T)
+(Metropolis's rule), where the temperature T is 0.0 from the first step
+whose cooled temperature is 1e-12 or below. Steps run one at a time until
+SA_QUIET steps in a row have been rejected; then one block scores the swaps
+of the next SA_BLOCK steps against the current state, the first step the
+rule accepts is applied, and single steps resume. A rejected step leaves
+the state as it was, so each step of a block is scored against the state
+it would have seen alone, and numpy adds the same five float64 terms in the
+same order as a single step does. A block rejects a step with
+delta > 750 T without calling math.exp: -delta/T then rounds below
+-749.99, exp rounds to 0.0 below about -745.13, and no draw is below 0.0.
+Every other step is decided by the single step's rule on Python floats, so
+every delta, decision and cut has the one-step-at-a-time loop's bits. On
+unit K_n every swap has delta 0 and is accepted, so every step runs singly.
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ BASELINE_METHODS = ("sa", "exhaustive", "auto")
 EXHAUSTIVE_MAX_NODES = 22
 EXHAUSTIVE_BLOCK = 1 << 14  # subsets scored at once; bounds the working set
 SA_COOLING = 0.995  # temperature factor per annealing step
-SA_QUIET = 32  # cold steps rejected in a row before a block is scored
-SA_BLOCK = 1024  # cold steps scored at once; bounds the block's working set
+SA_QUIET = 32  # steps rejected in a row before a block is scored
+SA_BLOCK = 1024  # steps scored at once; bounds the block's working set
+_EXP_ZERO = 750.0  # a block rejects delta > _EXP_ZERO * T without math.exp (see above)
+assert math.exp(-_EXP_ZERO) == 0.0
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,9 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
 
     Metropolis acceptance exp(-delta/T), with T starting at the largest
     edge weight times n (a ValueError if that overflows) and cooled by
-    SA_COOLING per step. Once T has fallen to 1e-12 only swaps with
-    delta <= 0 are accepted, and the cold phase scores quiet stretches in
-    blocks of SA_BLOCK steps; the answer is that of scoring every step alone
-    (see the module docstring).
+    SA_COOLING per step, and 0.0 from the first step at which it is 1e-12
+    or below. Quiet stretches are scored in blocks of SA_BLOCK steps; the
+    answer is that of scoring every step alone (see the module docstring).
     Deterministic for a fixed (graph, c, config); restart r uses the RNG
     stream seeded by (seed, r) and ties across restarts keep the earliest.
     """
@@ -175,10 +180,10 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
     if temp == math.inf:
         raise ValueError(f"the SA start temperature, largest weight {w_max} times n={n}, "
                          "overflows")
-    temps = []  # the temperature of each hot step
-    while temp > 1e-12 and len(temps) < cfg.steps:
-        temps.append(temp)
-        temp *= SA_COOLING
+    temps = np.full(cfg.steps, SA_COOLING)  # the temperature of each step
+    temps[0] = temp
+    np.multiply.accumulate(temps, out=temps)  # the step-by-step product's bits
+    temps[temps <= 1e-12] = 0.0  # cold
 
     best_cut = math.inf
     best_minus: list[int] | None = None
@@ -214,9 +219,9 @@ def sa_solve(g: WeightedGraph, c: int, cfg: SaConfig = SaConfig()) -> OracleResu
 def _accepted_moves(g, nodes, to_minus, ii, jj, accept_draw, temps):
     """The accepted swaps (i, j, delta) of one restart, in step order.
 
-    Step k proposes swapping nodes[ii[k]] with nodes[jj[k]]; the caller
-    applies each yielded swap to nodes and to_minus before the next step is
-    scored. The first len(temps) steps are hot; the rest are cold.
+    Step k proposes swapping nodes[ii[k]] with nodes[jj[k]] at temperature
+    temps[k], 0.0 once cold; the caller applies each yielded swap to nodes
+    and to_minus before the next step is scored.
     """
     w = g.weights
     weight = memoryview(w)  # weight[u, v] reads a Python float
@@ -225,45 +230,39 @@ def _accepted_moves(g, nodes, to_minus, ii, jj, accept_draw, temps):
     degree = deg.tolist()
     pick_i = memoryview(ii)
     pick_j = memoryview(jj)
-    for i, j, draw, temp in zip(pick_i, pick_j, memoryview(accept_draw), temps):
-        u = nodes[i]
-        v = nodes[j]
-        delta = (2.0 * weight_in[u] - degree[u] + degree[v] - 2.0 * weight_in[v]
-                 + 2.0 * weight[u, v])
-        if delta <= 0.0 or draw < math.exp(-delta / temp):
-            yield i, j, delta
-
+    draws = memoryview(accept_draw)
+    temp_at = memoryview(temps)
     steps = len(ii)
-    k = len(temps)
-    quiet = 0  # cold steps rejected in a row
+    k = 0
     while k < steps:
-        if quiet < SA_QUIET:
-            i = pick_i[k]
-            j = pick_j[k]
+        last = k  # the step after the last accepted one
+        for i, j, draw, temp in zip(pick_i[k:], pick_j[k:], draws[k:], temp_at[k:]):
             k += 1
             u = nodes[i]
             v = nodes[j]
             delta = (2.0 * weight_in[u] - degree[u] + degree[v] - 2.0 * weight_in[v]
                      + 2.0 * weight[u, v])
-            if delta <= 0.0:
-                quiet = 0
+            if delta <= 0.0 or (temp > 0.0 and draw < math.exp(-delta / temp)):
+                last = k
                 yield i, j, delta
-            else:
-                quiet += 1
-            continue
-        end = min(k + SA_BLOCK, steps)
-        hit = _first_downhill(np.array(nodes), ii[k:end], jj[k:end], to_minus, deg, w)
-        if hit is None:
-            k = end
+            elif k - last == SA_QUIET:
+                break
         else:
-            s, delta = hit
-            k += s + 1
-            quiet = 0
-            yield pick_i[k - 1], pick_j[k - 1], delta
+            return
+        while k < steps:  # blocks, until one accepts a step
+            end = min(k + SA_BLOCK, steps)
+            hit = _first_accepted(np.array(nodes), ii[k:end], jj[k:end], accept_draw[k:end],
+                                  temps[k:end], to_minus, deg, w)
+            if hit is not None:
+                s, delta = hit
+                k += s + 1
+                yield pick_i[k - 1], pick_j[k - 1], delta
+                break
+            k = end
 
 
-def _first_downhill(nodes, ii, jj, to_minus, deg, w):
-    """(s, delta) for the first swap s of a block with delta <= 0, or None.
+def _first_accepted(nodes, ii, jj, draws, temps, to_minus, deg, w):
+    """(s, delta) for the first step s of a block that the rule accepts, or None.
 
     nodes is an array copy of the state; each delta adds the single step's
     terms in the single step's order, so it has that step's bits.
@@ -271,11 +270,12 @@ def _first_downhill(nodes, ii, jj, to_minus, deg, w):
     u = nodes[ii]
     v = nodes[jj]
     deltas = 2.0 * to_minus[u] - deg[u] + deg[v] - 2.0 * to_minus[v] + 2.0 * w[u, v]
-    downhill = np.flatnonzero(deltas <= 0.0)
-    if downhill.size == 0:
-        return None
-    s = int(downhill[0])
-    return s, float(deltas[s])
+    for s in np.flatnonzero(deltas <= _EXP_ZERO * temps).tolist():  # the rest are rejected
+        delta = float(deltas[s])
+        temp = float(temps[s])
+        if delta <= 0.0 or (temp > 0.0 and draws[s] < math.exp(-delta / temp)):
+            return s, delta
+    return None
 
 
 def normalized_cut(pce_cut: float, baseline_cut: float) -> float:
@@ -328,8 +328,8 @@ def baseline_cut(
         method = "exhaustive" if g.n <= EXHAUSTIVE_MAX_NODES else "sa"
 
     cache: dict = {}
-    key = _cache_key(g, c, method, sa_config)
     if cache_path is not None:
+        key = _cache_key(g, c, method, sa_config)  # hashes every weight
         path = Path(cache_path)
         if path.exists():
             cache = _read_cache(path)

@@ -19,7 +19,7 @@ tables; `sign_blocks` unranks each block of lexicographic c-subsets with one
 and the two must give equal blocks byte for byte. `sa_solve` steps on numpy
 scalars, one step at a time at every temperature; the package oracles must
 return the same assignment bytes and cut. `sa_solve` can also record each
-step's decision, so tests can check which blocks the package's cold phase
+step's decision, so tests can check which blocks the package's annealing
 scores. `minimize`
 can also record which Nelder-Mead step each iteration took and which new
 vertices tied with another, so tests can show that their objectives reach

@@ -10,6 +10,7 @@ import pce_mincut.solver as solver_mod
 from pce_mincut.cli import (
     _SOLVER_ONLY_FLAGS,
     _apply_config,
+    _kind,
     _plan_from_args,
     _subcommand_flags,
     build_parser,
@@ -200,6 +201,46 @@ def test_every_solver_setting_has_a_value_rule():
     rules = set(_subcommand_flags("bench")) | set(_SOLVER_ONLY_FLAGS)
     settings = {f.name for f in dataclasses.fields(SolverSpec)} - {"optimizer"}
     assert settings <= rules, settings - rules
+
+
+INTEGER_FLAGS = [  # (subcommand, flag), one entry per integer flag
+    ("generate", "--n"), ("generate", "--seed"), ("baseline", "--c"), ("baseline", "--seed"),
+    ("solve", "--c"), ("solve", "--max-outer-iters"), ("solve", "--seed"),
+    ("solve", "--baseline-seed"), ("solve", "--k"), ("solve", "--layers"),
+    ("solve", "--max-evals"), ("bench", "--n"), ("bench", "--graph-seed"),
+    ("bench", "--c-values"), ("bench", "--reps"), ("bench", "--seed-base"),
+    ("bench", "--baseline-seed"), ("bench", "--workers"), ("bench", "--k"),
+    ("bench", "--layers"), ("bench", "--max-evals"),
+]
+
+
+def test_integer_flags_are_every_flag_of_json_kind_integer():
+    found = {(command, action.option_strings[0])
+             for command in ("generate", "baseline", "solve", "bench", "report")
+             for action in _subcommand_flags(command).values()
+             if action.option_strings and _kind(action) is int}
+    assert found == set(INTEGER_FLAGS)
+
+
+@pytest.mark.parametrize("value", ["1_0", "\uff15", "\u0665", "+5", " 5", "5.0", "--5"])
+@pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+def test_an_integer_flag_takes_only_ascii_digits(command, flag, value, capsys):
+    # int() reads "1_0" as 10 and the full-width and Arabic-Indic fives as 5
+    with pytest.raises(SystemExit) as exc_info:
+        build_parser().parse_args([command, f"{flag}={value}"])
+    assert exc_info.value.code == 2
+    assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+def test_an_integer_flag_reads_a_negative_value(command, flag):
+    required = {"generate": ["--n", "3", "--out", "g.json"], "bench": [],
+                "baseline": ["--graph", "g", "--c", "1"],
+                "solve": ["--graph", "g", "--c", "1"]}[command]
+    tail = ["7"] if flag == "--c-values" else []
+    args = build_parser().parse_args([command, *required, flag, "-12", *tail])
+    value = getattr(args, flag[2:].replace("-", "_"))
+    assert value == ([-12, 7] if flag == "--c-values" else -12)
 
 
 def test_bench_exits_in_one_line_on_a_flag_out_of_range():

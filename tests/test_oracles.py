@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference
 from conftest import random_graphs
@@ -300,11 +302,10 @@ def test_sa_refuses_a_start_temperature_that_overflows():
 
 
 def _blocks_of(decisions):
-    """(size, first accepted step or None) of each block the cold phase
+    """(size, first accepted step or None) of each block that sa_solve
     scores, from one restart's (cold, accepted) decisions."""
     steps = len(decisions)
-    k = next((step for step, (cold, _) in enumerate(decisions) if cold), steps)
-    quiet = 0
+    k = quiet = 0
     blocks = []
     while k < steps:
         if quiet < oracles.SA_QUIET:
@@ -329,28 +330,78 @@ def _blocks_of(decisions):
     generate_complete_graph(9),
 ], ids=["uniform", "sparse", "unit"])
 def test_sa_scores_a_block_after_each_quiet_run_of_cold_steps(g, quiet, block, monkeypatch):
-    # at n=100 and n=150 some downhill swaps are left when the cold phase
-    # starts, so some blocks find one and others do not
+    # hot and cold stretches alike go to blocks; at n=100 and n=150 some
+    # blocks accept a step and others do not
     monkeypatch.setattr(oracles, "SA_QUIET", quiet)
     monkeypatch.setattr(oracles, "SA_BLOCK", block)
-    first_downhill = oracles._first_downhill
+    first_accepted = oracles._first_accepted
     scored = []
 
     def spy(nodes, ii, *args):
-        hit = first_downhill(nodes, ii, *args)
-        scored.append((len(ii), None if hit is None else hit[0]))
+        hit = first_accepted(nodes, ii, *args)
+        scored.append((len(ii), hit))
         return hit
 
-    monkeypatch.setattr(oracles, "_first_downhill", spy)
+    monkeypatch.setattr(oracles, "_first_accepted", spy)
     cfg = SaConfig(seed=1, steps=12_000, restarts=2)
     trace = []
     _same_answer(sa_solve(g, g.n // 3, cfg), loop_reference.sa_solve(g, g.n // 3, cfg, trace))
-    assert scored == [b for decisions in trace for b in _blocks_of(decisions)]
+    assert [(size, hit and hit[0]) for size, hit in scored] == [
+        b for decisions in trace for b in _blocks_of(decisions)]
     if g.n == 9:
-        assert not scored  # on unit K9 every cold step is accepted
+        assert not scored  # on unit K9 every step is accepted
     else:
         assert None in [hit for _, hit in scored]
-        assert any(hit is not None for _, hit in scored)
+        if block < 1024:
+            # small blocks also stop at an uphill step, accepted by its own
+            # math.exp (with 1,024 steps a block on the sparse graph never does)
+            assert any(hit is not None and hit[1] > 0.0 for _, hit in scored)
+
+
+def _one_step_delta(nodes, i, j, to_minus, g):
+    u, v = int(nodes[i]), int(nodes[j])
+    return (2.0 * float(to_minus[u]) - float(g.degrees[u]) + float(g.degrees[v])
+            - 2.0 * float(to_minus[v]) + 2.0 * float(g.weights[u, v]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_block_scorer_takes_the_first_step_the_one_step_rule_accepts(data):
+    # the screen's bound: exp(-750) is 0.0, so no draw falls below it
+    assert math.exp(-750.0) == 0.0
+    n, c = 9, 4
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    g = generate_complete_graph(n, weights="uniform", seed=seed, low=0.1, high=1.0)
+    nodes = np.random.default_rng(seed).permutation(n)
+    to_minus = g.weights[:, nodes[:c]].sum(axis=1)
+    swaps = [(i, j) for i in range(c) for j in range(c, n)]
+    deltas = {s: _one_step_delta(nodes, *s, to_minus, g) for s in swaps}
+    downhill = [s for s in swaps if deltas[s] <= 0.0] or swaps
+    uphill = [s for s in swaps if deltas[s] > 0.0] or swaps
+    rows = []  # (i, j, draw, temp)
+    for kind in data.draw(st.lists(st.sampled_from(["downhill", "cold", "edge"]),
+                                   min_size=1, max_size=12), label="kinds"):
+        draw = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+        if kind == "downhill":
+            swap = data.draw(st.sampled_from(downhill))
+            temp = data.draw(st.one_of(st.just(0.0), st.floats(1e-12, 10.0)))
+        elif kind == "cold":
+            swap, temp = data.draw(st.sampled_from(swaps)), 0.0
+        else:  # delta / T within 10 of the bound
+            swap = data.draw(st.sampled_from(uphill))
+            temp = abs(deltas[swap]) / data.draw(st.floats(740.0, 760.0))
+        rows.append((*swap, draw, temp))
+    ii, jj, draws, temps = (np.array(col) for col in zip(*rows))
+
+    expected = None
+    for s, (i, j, draw, temp) in enumerate(rows):
+        delta = deltas[i, j]
+        if delta <= 0.0 or (temp > 0.0 and draw < math.exp(-delta / temp)):
+            expected = (s, delta)
+            break
+    hit = oracles._first_accepted(nodes, ii, jj, draws, temps, to_minus, g.degrees,
+                                  g.weights)
+    assert hit == expected
 
 
 def test_sa_k6(k6):
@@ -483,6 +534,15 @@ def test_cache_entry_that_is_a_cut_is_read_as_a_float(tmp_path, k6, value, cut):
     cache, _ = _cache_holding(tmp_path, k6, value)
     got = baseline_cut(k6, 3, method="exhaustive", cache_path=cache)
     assert type(got) is float and got == cut
+
+
+def test_an_uncached_baseline_never_hashes_the_graph(k6, monkeypatch):
+    def no_hash(g):
+        raise AssertionError("graph_hash was called")
+
+    monkeypatch.setattr(oracles, "graph_hash", no_hash)
+    assert baseline_cut(k6, 3, method="sa") == 9.0
+    assert baseline_cut(k6, 3, method="exhaustive") == 9.0
 
 
 def test_baseline_auto_uses_exhaustive(k6):
