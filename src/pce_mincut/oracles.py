@@ -31,20 +31,20 @@ visited state satisfies the budget exactly and no penalty term ever enters
 the oracle. Its steps run on Python floats, which round exactly as float64
 does, so a step decides as the same arithmetic on numpy scalars would.
 
-Each restart of sa_solve takes one rule at every step: a swap is accepted
-if delta <= 0, or if T > 0.0 and its draw is below exp(-delta/T)
-(Metropolis's rule), where the temperature T is 0.0 from the first step
-whose cooled temperature is 1e-12 or below. Steps run one at a time until
-SA_QUIET steps in a row have been rejected; then one block scores the swaps
-of the next SA_BLOCK steps against the current state, the first step the
-rule accepts is applied, and single steps resume. A rejected step leaves
-the state as it was, so each step of a block is scored against the state
-it would have seen alone, and numpy adds the same five float64 terms in the
-same order as a single step does. A block rejects a step with
-delta > 750 T without calling math.exp: -delta/T then rounds below
--749.99, exp rounds to 0.0 below about -745.13, and no draw is below 0.0.
-Every other step is decided by the single step's rule on Python floats, so
-every delta, decision and cut has the one-step-at-a-time loop's bits. On
+Each restart of sa_solve takes one rule at every step: a swap is accepted if
+delta <= 0, or if T > 0.0 and its draw is below exp(-delta/T) (Metropolis's
+rule), where the temperature T is 0.0 from the first step whose cooled
+temperature is 1e-12 or below. Steps run one at a time until SA_QUIET steps
+in a row have been rejected; then one block scores the swaps of the next
+SA_BLOCK steps against the current state, the first step the rule accepts is
+applied, and single steps resume. A rejected step leaves the state as it
+was, so each step of a block is scored against the state it would have seen
+alone, and numpy adds the same five float64 terms in the same order as a
+single step does. A block rejects a step with delta / 750 > T without
+calling math.exp (a quotient cannot overflow at any T): -delta/T then rounds
+below -749.99, exp rounds to 0.0 below about -745.13, and no draw is below
+0.0. Every other step is decided by the single step's rule on Python floats,
+so every delta, decision and cut has the one-step-at-a-time loop's bits. On
 unit K_n every swap has delta 0 and is accepted, so every step runs singly.
 """
 
@@ -76,7 +76,7 @@ EXHAUSTIVE_BLOCK = 1 << 14  # subsets scored at once; bounds the working set
 SA_COOLING = 0.995  # temperature factor per annealing step
 SA_QUIET = 32  # steps rejected in a row before a block is scored
 SA_BLOCK = 1024  # steps scored at once; bounds the block's working set
-_EXP_ZERO = 750.0  # a block rejects delta > _EXP_ZERO * T without math.exp (see above)
+_EXP_ZERO = 750.0  # a block rejects delta / _EXP_ZERO > T without math.exp (see above)
 assert math.exp(-_EXP_ZERO) == 0.0
 
 
@@ -270,7 +270,7 @@ def _first_accepted(nodes, ii, jj, draws, temps, to_minus, deg, w):
     u = nodes[ii]
     v = nodes[jj]
     deltas = 2.0 * to_minus[u] - deg[u] + deg[v] - 2.0 * to_minus[v] + 2.0 * w[u, v]
-    for s in np.flatnonzero(deltas <= _EXP_ZERO * temps).tolist():  # the rest are rejected
+    for s in np.flatnonzero(deltas / _EXP_ZERO <= temps).tolist():  # the rest are rejected
         delta = float(deltas[s])
         temp = float(temps[s])
         if delta <= 0.0 or (temp > 0.0 and draws[s] < math.exp(-delta / temp)):

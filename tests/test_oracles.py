@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,7 @@ def _blocks_of(decisions):
 def test_sa_scores_a_block_after_each_quiet_run_of_cold_steps(g, quiet, block, monkeypatch):
     # hot and cold stretches alike go to blocks; at n=100 and n=150 some
     # blocks accept a step and others do not
+    default_block = oracles.SA_BLOCK
     monkeypatch.setattr(oracles, "SA_QUIET", quiet)
     monkeypatch.setattr(oracles, "SA_BLOCK", block)
     first_accepted = oracles._first_accepted
@@ -352,10 +354,35 @@ def test_sa_scores_a_block_after_each_quiet_run_of_cold_steps(g, quiet, block, m
         assert not scored  # on unit K9 every step is accepted
     else:
         assert None in [hit for _, hit in scored]
-        if block < 1024:
+        assert any(hit is not None for _, hit in scored)
+        if block < default_block:
             # small blocks also stop at an uphill step, accepted by its own
-            # math.exp (with 1,024 steps a block on the sparse graph never does)
+            # math.exp (with the default size a block on the sparse graph never does)
             assert any(hit is not None and hit[1] > 0.0 for _, hit in scored)
+
+
+def test_sa_blocks_at_a_temperature_near_the_float_limit(monkeypatch):
+    # T starts at 1.6e308, so _EXP_ZERO * T would overflow; the screen
+    # divides delta instead, and no block warns or decides differently
+    monkeypatch.setattr(oracles, "SA_QUIET", 1)
+    monkeypatch.setattr(oracles, "SA_BLOCK", 5)
+    first_accepted = oracles._first_accepted
+    hottest = []
+
+    def spy(nodes, ii, jj, draws, temps, *args):
+        hottest.append(float(temps.max()))
+        return first_accepted(nodes, ii, jj, draws, temps, *args)
+
+    monkeypatch.setattr(oracles, "_first_accepted", spy)
+    w = np.zeros((40, 40))
+    w[0, 1] = w[1, 0] = 4e306
+    g = WeightedGraph(w)
+    cfg = SaConfig(seed=3, steps=2000, restarts=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sa_solve(g, 2, cfg)
+    _same_answer(res, loop_reference.sa_solve(g, 2, cfg))
+    assert max(hottest) * oracles._EXP_ZERO == math.inf
 
 
 def _one_step_delta(nodes, i, j, to_minus, g):
@@ -367,8 +394,6 @@ def _one_step_delta(nodes, i, j, to_minus, g):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_the_block_scorer_takes_the_first_step_the_one_step_rule_accepts(data):
-    # the screen's bound: exp(-750) is 0.0, so no draw falls below it
-    assert math.exp(-750.0) == 0.0
     n, c = 9, 4
     seed = data.draw(st.integers(0, 2**16), label="seed")
     g = generate_complete_graph(n, weights="uniform", seed=seed, low=0.1, high=1.0)
@@ -389,7 +414,8 @@ def test_the_block_scorer_takes_the_first_step_the_one_step_rule_accepts(data):
             swap, temp = data.draw(st.sampled_from(swaps)), 0.0
         else:  # delta / T within 10 of the bound
             swap = data.draw(st.sampled_from(uphill))
-            temp = abs(deltas[swap]) / data.draw(st.floats(740.0, 760.0))
+            bound = oracles._EXP_ZERO
+            temp = abs(deltas[swap]) / data.draw(st.floats(bound - 10.0, bound + 10.0))
         rows.append((*swap, draw, temp))
     ii, jj, draws, temps = (np.array(col) for col in zip(*rows))
 
