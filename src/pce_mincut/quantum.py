@@ -15,6 +15,12 @@ column: within column c, theta[c*2m : c*2m+m] are the RY angles for qubits
 0..m-1 and the next m entries are the RZ angles. All angles zero prepares
 |0...0> exactly.
 
+Up to _KRON_COLUMN_MAX_QUBITS qubits, prepare_state applies each rotation
+column as one 2^m x 2^m unitary. Larger registers build no unitary: with
+RY(t) = S H RZ(t) H S-dagger, every column is a diagonal phase vector
+between two Walsh-Hadamard transforms, and every phase vector is the outer
+product of one small vector per register half (_prepare_diagonal).
+
 Expectation values are computed exactly (no shot sampling): a Pauli string
 acts as an index permutation plus a diagonal phase, so <P> costs one fancy
 index and one dot product per string. From _WHT_MIN_QUBITS qubits on,
@@ -98,16 +104,93 @@ def _kron_chain(mats: np.ndarray) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=None)
+def _hadamard_factors(m: int, interleaved: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Sylvester Hadamard matrices (entries +-1) of sizes 2^(m//2) and 2^(m-m//2).
+
+    Their Kronecker product is the unnormalized 2^m Walsh-Hadamard matrix, so
+    a transform of v is h_a @ v.reshape(2^(m//2), -1) @ h_b: two small matrix
+    products in place of m butterfly passes. With interleaved, the second
+    factor is h_b (x) I_2, which transforms the real view of complex rows,
+    whose real and imaginary parts alternate.
+    """
+    factors = []
+    for bits in (m // 2, m - m // 2):
+        h = np.ones((1, 1))
+        for _ in range(bits):
+            h = np.block([[h, h], [h, -h]])
+        factors.append(h)
+    if interleaved:
+        factors[1] = np.kron(factors[1], np.eye(2))
+    for h in factors:
+        h.setflags(write=False)
+    return factors[0], factors[1]
+
+
+def _wht(rows: np.ndarray, m: int) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row of a real or complex (..., 2^m) array.
+
+    Complex rows are transformed through their real view against real
+    factors, which has the bits of the complex product h_a @ blocks @ h_b
+    without casting the factors to complex on every call.
+    """
+    h_a, h_b = _hadamard_factors(m, rows.dtype.kind == "c")
+    blocks = rows.view(float).reshape(rows.shape[:-1] + (h_a.shape[0], h_b.shape[0]))
+    return (h_a @ blocks @ h_b).view(rows.dtype).reshape(rows.shape)
+
+
+@lru_cache(maxsize=None)
+def _s_phase(m: int, power: int) -> np.ndarray:
+    """i^(power * popcount(b)): S on every qubit for power 1, S-dagger for -1.
+
+    S-dagger takes Y strings to X strings; S follows the last rotation column
+    on the diagonal path.
+    """
+    popcount = np.zeros(2**m, dtype=np.int64)
+    for q in range(m):
+        popcount += (np.arange(2**m) >> q) & 1
+    phase = np.array([1, 1j, -1, -1j])[(power * popcount) % 4]
+    phase.setflags(write=False)
+    return phase
+
+
+@lru_cache(maxsize=None)
+def _half_signs(bits: int) -> np.ndarray:
+    """(bits, 2^bits) table of z_q(j) = +-1, -1 where qubit q of index j is 1 (qubit 0 the msb)."""
+    shifts = np.arange(bits - 1, -1, -1)[:, None]
+    signs = 1.0 - 2.0 * ((np.arange(2**bits) >> shifts) & 1)
+    signs.setflags(write=False)
+    return signs
+
+
+@lru_cache(maxsize=None)
+def _fixed_phases(m: int, n_cols: int) -> np.ndarray:
+    """(n_cols, 2^m) factors that follow each column's RZ phases on the diagonal path.
+
+    Column c < n_cols-1 is followed by its CZ signs, the last column by the
+    S phases i^popcount(b); every row carries the 2^-m of the column's two
+    unnormalized transforms, a power of two, so the product is exact.
+    """
+    table = np.empty((n_cols, 2**m), dtype=complex)
+    for c in range(n_cols - 1):
+        table[c] = _cz_mask(m, c % 2)
+    table[-1] = _s_phase(m, 1)
+    table *= 2.0**-m
+    table.setflags(write=False)
+    return table
+
+
 # Registers up to this size apply each column as one 2^m x 2^m unitary; larger
-# ones split it as U_hi (x) U_lo over qubits 0..m//2-1 and the rest and apply
-# psi <- U_hi @ psi @ U_lo^T on the (2^(m//2), 2^(m-m//2)) view of the state.
-# Per prepare_state call (1 layer, 1 BLAS thread, 2-vCPU VM, best of 5, two
-# runs), kron against split: m=3 21 vs 27-29 us, m=4 26 vs 29-30, m=5 39 vs
-# 32-33, m=6 85 vs 36-37, m=7 258-263 vs 43-44. Split wins from m=5, but the
-# paths round differently (about 2e-16), so this value is part of numerics(m)
-# and a run record names the path it ran: lowering it would change the bits
-# of every m=5 and m=6 record, the n=25 solves of the acceptance suite
-# included, and is a numerics change of its own.
+# ones run the diagonal path (_prepare_diagonal), which builds no unitary.
+# Per call (1 layer, 1 BLAS thread, 2-vCPU VM, best of 3 rounds of best of
+# 7), kron against diagonal for 1 row, then for a stack of 12: m=3 25 vs 31
+# and 50 vs 48 us; m=4 32 vs 30 and 100 vs 55; m=5 48 vs 32 and 276 vs 72;
+# m=6 118 vs 37 and 1,217 vs 90; m=7 380 vs 42 for 1 row. The diagonal path
+# wins from m=4, but the paths round differently (about 2e-16), so this
+# value is part of numerics(m) and a run record names the path it ran:
+# lowering it would change the bits of every m=4 to m=6 record, the n=14
+# and n=25 solves of the acceptance suite included, and is a numerics
+# change of its own.
 _KRON_COLUMN_MAX_QUBITS = 6
 
 
@@ -116,8 +199,8 @@ def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
 
     theta may also be a (B, d) stack of angle vectors, which gives a (B, 2^m)
     stack of states whose row b is bit-equal to prepare_state(m, theta[b]).
-    The rows share one vectorized pass and one stacked product per column
-    (two on the split path).
+    The rows share one vectorized pass: one stacked product per column on
+    the kron path, one stacked transform per half column on the diagonal path.
     """
     theta = np.asarray(theta, dtype=float)
     expected = parameter_count(m, layers)
@@ -126,27 +209,59 @@ def prepare_state(m: int, theta, layers: int = 1) -> np.ndarray:
             f"theta has shape {theta.shape}, ansatz on m={m}, layers={layers} "
             f"needs {expected} angles per row"
         )
-    n_cols = 2 * layers + 1
-    batch = theta.shape[:-1]
-    mats = _column_mats(theta.reshape(batch + (n_cols, 2, m))).reshape(-1, m, 2, 2)
-    split = m > _KRON_COLUMN_MAX_QUBITS
-    if split:
-        a, b = m // 2, m - m // 2
-        hi = _kron_chain(mats[:, :a]).reshape(batch + (n_cols, 2**a, 2**a))
-        lo_t = np.swapaxes(_kron_chain(mats[:, a:]), -1, -2)
-        lo_t = lo_t.reshape(batch + (n_cols, 2**b, 2**b))
-        view = batch + (2**a, 2**b)
-    else:
-        unitaries = _kron_chain(mats).reshape(batch + (n_cols, 2**m, 2**m))
+    angles = theta.reshape(theta.shape[:-1] + (2 * layers + 1, 2, m))
+    if m <= _KRON_COLUMN_MAX_QUBITS:
+        return _prepare_kron(m, angles)
+    return _prepare_diagonal(m, angles)
+
+
+def _prepare_kron(m: int, angles: np.ndarray) -> np.ndarray:
+    """Each column as one 2^m x 2^m unitary; angles has shape (..., n_cols, 2, m)."""
+    batch, n_cols = angles.shape[:-3], angles.shape[-3]
+    mats = _column_mats(angles).reshape(-1, m, 2, 2)
+    unitaries = _kron_chain(mats).reshape(batch + (n_cols, 2**m, 2**m))
     psi = np.zeros(batch + (2**m,), dtype=complex)
     psi[..., 0] = 1.0
     for c in range(n_cols):
-        if split:
-            psi = (hi[..., c, :, :] @ psi.reshape(view) @ lo_t[..., c, :, :]).reshape(psi.shape)
-        else:
-            psi = (unitaries[..., c, :, :] @ psi[..., None])[..., 0]
+        psi = (unitaries[..., c, :, :] @ psi[..., None])[..., 0]
         if c < n_cols - 1 and m > 1:
             psi = psi * _cz_mask(m, c % 2)
+    return psi
+
+
+def _prepare_diagonal(m: int, angles: np.ndarray) -> np.ndarray:
+    """The ansatz as diagonal phases between Walsh-Hadamard transforms.
+
+    RY(t) = S H RZ(t) H S-dagger, so a rotation column is D S H E H S-dagger
+    with every gate on every qubit, where D holds the column's RZ angles and
+    E its RY angles as RZ phases. Between two columns only diagonal factors
+    meet, and the S phases cancel; with W the unnormalized transform and
+    1 = W|0...0>,
+
+        psi = G_L W E_L W ... G_1 W E_1 W G_0 W E_0 1,
+
+    where G_c is column c's RZ phases times _fixed_phases(m, n_cols)[c]. Each
+    phase vector is a product of one factor per register half, so every E_c
+    and G_c comes from one small matrix product per half against a +-1 sign
+    table, one complex exp per half and one outer product.
+    """
+    batch, n_cols = angles.shape[:-3], angles.shape[-3]
+    a = m // 2
+    # rows ordered (column, RY or RZ, batch), so each E_c and G_c stack is
+    # C-contiguous: every operand of a stacked product is kept so, for its
+    # rows to round as the 1-D call's
+    rows = angles.reshape(-1, 2 * n_cols, m).transpose(1, 0, 2).reshape(-1, m)
+    hi = np.exp(-0.5j * (rows[:, :a] @ _half_signs(a)))
+    lo = np.exp(-0.5j * (rows[:, a:] @ _half_signs(m - a)))
+    phases = (hi[:, :, None] * lo[:, None, :]).reshape((n_cols, 2) + batch + (2**m,))
+    phases[:, 1] *= _fixed_phases(m, n_cols).reshape((n_cols,) + (1,) * len(batch) + (2**m,))
+    psi = _wht(phases[0, 0], m)
+    for c in range(n_cols):
+        psi *= phases[c, 1]
+        if c < n_cols - 1:
+            psi = _wht(psi, m)
+            psi *= phases[c + 1, 0]
+            psi = _wht(psi, m)
     return psi
 
 
@@ -184,45 +299,9 @@ _WHT_MIN_QUBITS = 8
 
 def numerics(m: int) -> str:
     """The state-preparation path and expectation kernel a register of m qubits runs."""
-    prepare = "kron" if m <= _KRON_COLUMN_MAX_QUBITS else "split"
+    prepare = "kron" if m <= _KRON_COLUMN_MAX_QUBITS else "diag"
     kernel = "wht" if m >= _WHT_MIN_QUBITS else "perm"
     return f"prepare={prepare};kernel={kernel}"
-
-
-@lru_cache(maxsize=None)
-def _hadamard_factors(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sylvester Hadamard matrices (entries +-1) of sizes 2^(m//2) and 2^(m-m//2).
-
-    Their Kronecker product is the unnormalized 2^m Walsh-Hadamard matrix, so
-    a transform of v is h_a @ v.reshape(2^(m//2), -1) @ h_b: two small matrix
-    products in place of m butterfly passes.
-    """
-    factors = []
-    for bits in (m // 2, m - m // 2):
-        h = np.ones((1, 1))
-        for _ in range(bits):
-            h = np.block([[h, h], [h, -h]])
-        h.setflags(write=False)
-        factors.append(h)
-    return factors[0], factors[1]
-
-
-def _wht(rows: np.ndarray, m: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of each row of a (..., 2^m) array."""
-    h_a, h_b = _hadamard_factors(m)
-    blocks = rows.reshape(rows.shape[:-1] + (h_a.shape[0], h_b.shape[0]))
-    return (h_a @ blocks @ h_b).reshape(rows.shape)
-
-
-@lru_cache(maxsize=None)
-def _y_basis_phase(m: int) -> np.ndarray:
-    """(-i)^popcount(b): S-dagger on every qubit, which takes Y strings to X strings."""
-    popcount = np.zeros(2**m, dtype=np.int64)
-    for q in range(m):
-        popcount += (np.arange(2**m) >> q) & 1
-    phase = np.array([1, -1j, -1, 1j])[popcount % 4]
-    phase.setflags(write=False)
-    return phase
 
 
 def _letter_and_support(letters: str) -> tuple[str, int]:
@@ -283,7 +362,7 @@ class ExpectationKernel:
             return (gathered @ np.conj(state)[..., None])[..., 0].real
         amps = np.empty(batch + (3, 2**self.m), dtype=complex)
         amps[..., 0, :] = state
-        np.multiply(state, _y_basis_phase(self.m), out=amps[..., 1, :])
+        np.multiply(state, _s_phase(self.m, -1), out=amps[..., 1, :])
         amps[..., :2, :] = _wht(amps[..., :2, :], self.m)
         amps[..., 2, :] = state
         probs = np.square(amps.real) + np.square(amps.imag)

@@ -1,7 +1,10 @@
 """Loop versions of the vectorized hot paths, kept as bit-exact references.
 
 `prepare_state` builds each rotation column's matrices and unitary one column
-at a time, `expectations` runs the expectation kernel's perm or WHT body on
+at a time up to `_KRON_COLUMN_MAX_QUBITS` qubits; above, it builds each
+column's two phase vectors, summing each register half's angles qubit by
+qubit, and applies them between transforms one column at a time.
+`expectations` runs the expectation kernel's perm or WHT body on
 one 1-D state, `loss` scores one 1-D expectation vector with the budget
 penalty squared as a float64 scalar, and `minimize` keeps the Nelder-Mead
 simplex as a Python list of vertex arrays sorted with `sorted` on every
@@ -59,9 +62,10 @@ from pce_mincut.quantum import (
     _WHT_MIN_QUBITS,
     _cz_mask,
     _hadamard_factors,
+    _half_signs,
     _letter_and_support,
     _pauli_action,
-    _y_basis_phase,
+    _s_phase,
     parameter_count,
 )
 
@@ -87,24 +91,44 @@ def kron_chain(mats):
     return u
 
 
+def half_phases(angles, bits):
+    # exp(-i/2 sum_q angles[q] z_q(j)) over the 2^bits indices j of one
+    # register half, the sum taken qubit by qubit from 0.0
+    total = np.zeros(2**bits)
+    for angle, signs in zip(angles, _half_signs(bits)):
+        total = total + angle * signs
+    return np.exp(-0.5j * total)
+
+
+def diagonal_phases(angles, m):
+    # the phase vector of RZ(angles[q]) on every qubit q
+    a = m // 2
+    return np.outer(half_phases(angles[:a], a), half_phases(angles[a:], m - a)).reshape(-1)
+
+
 def prepare_state(m, theta, layers=1):
     theta = np.asarray(theta, dtype=float)
     assert theta.shape == (parameter_count(m, layers),)
     n_cols = 2 * layers + 1
     cols = theta.reshape(n_cols, 2, m)
-    psi = np.zeros(2**m, dtype=complex)
-    psi[0] = 1.0
+    if m <= _KRON_COLUMN_MAX_QUBITS:
+        psi = np.zeros(2**m, dtype=complex)
+        psi[0] = 1.0
+        for c in range(n_cols):
+            psi = kron_chain(column_mats(cols[c, 0], cols[c, 1])) @ psi
+            if c < n_cols - 1 and m > 1:
+                psi = psi * _cz_mask(m, c % 2)
+        return psi
+    # RY(t) = S H RZ(t) H S-dagger: each column is a transform, its RY angles
+    # as phases, a transform and its RZ angles as phases, followed by the CZ
+    # signs, or by the S phases after the last column; the 2^-m undoes the
+    # column's two unnormalized transforms
     for c in range(n_cols):
-        mats = column_mats(cols[c, 0], cols[c, 1])
-        if m <= _KRON_COLUMN_MAX_QUBITS:
-            psi = kron_chain(mats) @ psi
-        else:
-            # (U_hi kron U_lo) psi on the (2^a, 2^(m-a)) view of psi
-            a = m // 2
-            view = psi.reshape(2**a, 2 ** (m - a))
-            psi = ((kron_chain(mats[:a]) @ view) @ kron_chain(mats[a:]).T).reshape(-1)
-        if c < n_cols - 1 and m > 1:
-            psi = psi * _cz_mask(m, c % 2)
+        ry = diagonal_phases(cols[c, 0], m)
+        rz = diagonal_phases(cols[c, 1], m)
+        fixed = (_cz_mask(m, c % 2) if c < n_cols - 1 else _s_phase(m, 1)) * 2.0**-m
+        psi = ry if c == 0 else wht(psi[None], m)[0] * ry
+        psi = wht(psi[None], m)[0] * (rz * fixed)
     return psi
 
 
@@ -162,7 +186,7 @@ def expectations(state, letters):
                       for letter, mask in map(_letter_and_support, letters)])
     amps = np.empty((3, state.shape[0]), dtype=complex)
     amps[0] = state
-    np.multiply(state, _y_basis_phase(m), out=amps[1])
+    np.multiply(state, _s_phase(m, -1), out=amps[1])
     amps[:2] = wht(amps[:2], m)
     amps[2] = state
     probs = np.square(amps.real) + np.square(amps.imag)

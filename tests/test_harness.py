@@ -48,7 +48,10 @@ V0_2_0_RECORDS = Path(__file__).parent / "data" / "records_v0_2_0.jsonl"
 # iterative runs shared one loop
 EXIT_RECORDS = Path(__file__).parent / "data" / "records_exits_v0_2_0.jsonl"
 # one fixed run each at m=7 (n=60) and m=8 (n=110), which prepare their
-# states on the split path; written by SPLIT_PLANS
+# states on the diagonal path; written by SPLIT_PLANS
+DIAG_RECORDS = Path(__file__).parent / "data" / "records_diag_v0_2_0.jsonl"
+# the same runs as SPLIT_PLANS wrote them when m >= 7 applied each column as
+# U_hi (x) U_lo on the two register halves; this code refuses to replay them
 SPLIT_RECORDS = Path(__file__).parent / "data" / "records_split_v0_2_0.jsonl"
 # the report files of the records of V0_2_0_RECORDS and EXIT_RECORDS together,
 # each committed as tests/data/<stem>_v0_2_0<suffix>
@@ -237,8 +240,8 @@ def test_replay_reproduces_outcome_bit_identically(plan_results):
 
 
 @pytest.mark.parametrize("path, count", [
-    (V0_1_0_RECORDS, 4), (V0_2_0_RECORDS, 4), (EXIT_RECORDS, 4), (SPLIT_RECORDS, 2),
-], ids=["v0_1_0", "v0_2_0", "exits_v0_2_0", "split_v0_2_0"])
+    (V0_1_0_RECORDS, 4), (V0_2_0_RECORDS, 4), (EXIT_RECORDS, 4), (DIAG_RECORDS, 2),
+], ids=["v0_1_0", "v0_2_0", "exits_v0_2_0", "diag_v0_2_0"])
 def test_committed_records_replay_bit_identically(path, count):
     records = read_records(path)
     assert len(records) == count
@@ -297,11 +300,20 @@ def test_records_carry_the_numerics_they_ran(plan_results):
     assert records[0]["config"]["numerics"] == "prepare=kron;kernel=perm"
 
 
-def test_committed_split_records_are_what_small_plan_writes():
+def test_committed_diag_records_are_what_split_plans_write():
     written = [rec for plan in SPLIT_PLANS for rec in run_plan(plan)[0]]
-    assert _json_without_wall_time(written) == _json_without_wall_time(read_records(SPLIT_RECORDS))
+    assert _json_without_wall_time(written) == _json_without_wall_time(read_records(DIAG_RECORDS))
     assert [r["config"]["numerics"] for r in written] == [
-        "prepare=split;kernel=perm", "prepare=split;kernel=wht"]
+        "prepare=diag;kernel=perm", "prepare=diag;kernel=wht"]
+
+
+def test_replay_refuses_the_records_of_the_split_path():
+    for rec, kernel in zip(read_records(SPLIT_RECORDS), ("perm", "wht")):
+        m = rec["config"]["encoding"]["m"]
+        with pytest.raises(ValueError, match=rf"numerics 'prepare=split;kernel={kernel}', but this "
+                                             rf"code runs 'prepare=diag;kernel={kernel}' at m={m}; "
+                                             r"it cannot be replayed$"):
+            replay_record(rec)
 
 
 def test_a_lockstep_plan_at_m8_replays_every_record():
@@ -330,22 +342,22 @@ def test_replay_refuses_a_record_whose_graph_file_changed(tmp_path):
 
 def test_replay_refuses_a_v0_1_0_record_whose_path_moved():
     # n in [51, 105] puts the register at m=7, which 0.1.0 prepared on the
-    # kron path and this code prepares on the split path
-    rec = read_records(SPLIT_RECORDS)[0]
+    # kron path and this code prepares on the diagonal path
+    rec = read_records(DIAG_RECORDS)[0]
     assert rec["config"]["encoding"]["m"] == 7
     del rec["config"]["numerics"]
     rec["artifact_version"] = "0.1.0"
     with pytest.raises(ValueError, match=r"numerics 'prepare=kron;kernel=perm', "
-                                         r"but this code runs 'prepare=split;kernel=perm' at m=7"):
+                                         r"but this code runs 'prepare=diag;kernel=perm' at m=7"):
         replay_record(rec)
 
 
 def test_replay_refuses_a_record_that_ran_the_sweep():
     # 0.2.0 prepared m >= 7 qubit by qubit before the split path replaced it
-    rec = read_records(SPLIT_RECORDS)[0]
+    rec = read_records(DIAG_RECORDS)[0]
     rec["config"]["numerics"] = "prepare=sweep;kernel=perm"
     with pytest.raises(ValueError, match=r"numerics 'prepare=sweep;kernel=perm', "
-                                         r"but this code runs 'prepare=split;kernel=perm' at m=7"):
+                                         r"but this code runs 'prepare=diag;kernel=perm' at m=7"):
         replay_record(rec)
 
 
@@ -360,9 +372,9 @@ def test_replay_refuses_an_edited_numerics_tag():
 def test_untagged_config_above_m7_is_taken_to_have_run_the_perm_kernel():
     graph = generate_complete_graph(250)  # m=9
     d = config_to_dict(SolverSpec().config(graph, 2))
-    assert d.pop("numerics") == "prepare=split;kernel=wht"
+    assert d.pop("numerics") == "prepare=diag;kernel=wht"
     with pytest.raises(ValueError, match="numerics 'prepare=sweep;kernel=perm', "
-                                         "but this code runs 'prepare=split;kernel=wht' at m=9"):
+                                         "but this code runs 'prepare=diag;kernel=wht' at m=9"):
         config_from_dict(d, graph)
 
 

@@ -31,6 +31,16 @@ def test_zero_angles_prepare_vacuum():
     assert np.array_equal(psi, expected)
 
 
+@pytest.mark.parametrize("m", range(7, 11))  # the diagonal path
+@pytest.mark.parametrize("layers", [1, 2])
+def test_zero_angles_prepare_vacuum_on_the_diagonal_path(m, layers):
+    # every transform of W|0...0> sums +-1 exactly and every 2^-m is exact
+    psi = prepare_state(m, np.zeros(parameter_count(m, layers)), layers)
+    expected = np.zeros(2**m, dtype=complex)
+    expected[0] = 1.0
+    assert np.array_equal(psi, expected)
+
+
 def test_ry_pi_flips_single_qubit():
     theta = np.zeros(6)
     theta[0] = np.pi  # first column's RY on the only qubit
@@ -51,7 +61,7 @@ def test_prepare_state_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/split switch at 6/7
+@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/diag switch at 6/7
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_prepare_matches_dense_oracle(m, layers):
     rng = np.random.default_rng(100 * m + layers)
@@ -62,7 +72,7 @@ def test_prepare_matches_dense_oracle(m, layers):
         assert np.max(np.abs(fast - dense)) < 1e-12
 
 
-@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/split switch at 6/7
+@pytest.mark.parametrize("m", range(1, 11))  # both sides of the kron/diag switch at 6/7
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_prepare_matches_loop_reference_bit_for_bit(m, layers):
     rng = np.random.default_rng(1000 * m + layers)
@@ -162,8 +172,8 @@ def test_pauli_bound_and_hermiticity(m):
 
 def test_numerics_names_each_path():
     assert numerics(6) == "prepare=kron;kernel=perm"
-    assert numerics(7) == "prepare=split;kernel=perm"
-    assert numerics(8) == "prepare=split;kernel=wht"
+    assert numerics(7) == "prepare=diag;kernel=perm"
+    assert numerics(8) == "prepare=diag;kernel=wht"
 
 
 def _encodings(m):
@@ -250,8 +260,8 @@ def test_invalid_letters_are_refused():
         ExpectationKernel(["IQ"])
 
 
-# kron path up to m=6, split from m=7, WHT kernel from m=8
-@pytest.mark.parametrize("m", range(1, 10))
+# kron path up to m=6, diag from m=7, WHT kernel from m=8
+@pytest.mark.parametrize("m", range(1, 11))
 def test_stacked_calls_give_each_row_the_bytes_of_a_1d_call(m):
     rng = np.random.default_rng(m + 47)
     k = 1 if m < 4 else 2
@@ -293,25 +303,46 @@ def test_wht_kernel_transforms_a_stack_in_one_pass(m, monkeypatch):
     rng = np.random.default_rng(m + 61)
     strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2))
     kernel = ExpectationKernel(strings)
+    # prepared before _wht is patched, so the transforms of state preparation
+    # are not counted
+    states = [prepare_state(m, rng.uniform(-np.pi, np.pi, shape + (parameter_count(m),)))
+              for shape in ((), (1,), (12,))]
     wht, calls = quantum._wht, []
     monkeypatch.setattr(quantum, "_wht", lambda rows, m: calls.append(rows.shape) or wht(rows, m))
-    for shape in ((), (1,), (12,)):
+    for psi in states:
         calls.clear()
-        kernel(prepare_state(m, rng.uniform(-np.pi, np.pi, shape + (parameter_count(m),))))
+        kernel(psi)
         assert len(calls) == 2  # the X and Y amplitudes, then the three probability rows
 
 
 @pytest.mark.parametrize("m", range(7, 11))
-def test_split_path_prepares_a_stack_in_one_pass(m, monkeypatch):
+def test_diag_path_prepares_a_stack_in_one_pass(m, monkeypatch):
     rng = np.random.default_rng(m + 53)
     thetas = rng.uniform(-np.pi, np.pi, (40, parameter_count(m, 2)))
     want = [prepare_state(m, theta, 2).tobytes() for theta in thetas]
-    calls = []
+    calls, transforms = [], []
     monkeypatch.setattr(quantum, "prepare_state",
                         lambda *args: calls.append(args) or prepare_state(*args))
+    wht = quantum._wht
+    monkeypatch.setattr(quantum, "_wht", lambda rows, m: transforms.append(rows.shape) or wht(rows, m))
     states = quantum.prepare_state(m, thetas, 2)
     assert len(calls) == 1  # no row went through a call of its own
+    assert transforms == [(40, 2**m)] * 9  # two per column of five, W|0...0> taken as known
     assert [state.tobytes() for state in states] == want
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_wht_of_complex_rows_has_the_bits_of_the_complex_product(m):
+    # the real view against h_b (x) I_2 must round as h_a @ blocks @ h_b on
+    # complex blocks did, which is what loop_reference.wht computes; the
+    # strided (rows, 2, 2^m) slice is the one the kernel transforms
+    rng = np.random.default_rng(m + 67)
+    for rows in (1, 2, 7, 12):
+        amps = rng.normal(size=(rows, 3, 2**m)) + 1j * rng.normal(size=(rows, 3, 2**m))
+        for block in (amps[:, 0], amps[:, :2]):
+            got = quantum._wht(block, m)
+            want = loop_reference.wht(block.reshape(-1, 2**m), m).reshape(block.shape)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_kernel_buffers_survive_a_stack_that_shrinks_and_grows():
