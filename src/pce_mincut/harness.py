@@ -61,7 +61,7 @@ __all__ = [
     "write_history_csv",
 ]
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 HISTORY_FIELDS = ("iter", "alpha", "loss", "binarization", "minus_count")
 
@@ -281,7 +281,15 @@ def make_record(
 
 def replay_record(record: dict) -> SolveOutcome:
     """Re-run a record's config; the outcome must match the record bit for bit.
-    ValueError if the record's graph source now loads another graph."""
+    ValueError if the record's graph source now loads another graph, or if it
+    stopped at the outer cap before 0.3.0 and may hold an alpha no inner run used."""
+    cfg, out = record["config"], record["outcome"]
+    if (record["artifact_version"] in ("0.1.0", "0.2.0") and cfg["alpha_mode"] == "iterative"
+            and out["outer_iters"] == cfg["max_outer_iters"]
+            and (not out["history"] or out["final_alpha"] != out["history"][-1]["alpha"])):
+        raise ValueError(f"record stopped at the outer cap under version {record['artifact_version']}, "
+                         "which read its outcome at the alpha proposed after the last inner run; "
+                         "from 0.3.0 the outcome is the last inner run's, so it cannot be replayed")
     graph = GraphSource.from_dict(record["graph"]).load()
     if graph_hash(graph) != record["graph"]["hash"]:
         raise ValueError(f"record ran on graph {record['graph']['hash']}, but its source "

@@ -65,12 +65,9 @@ def _cz_mask(m: int, parity: int) -> np.ndarray:
 
     parity 0 pairs (0,1),(2,3),...; parity 1 pairs (1,2),(3,4),...
     """
-    sign = np.ones(2**m)
-    idx = np.arange(2**m)
-    for q in range(parity, m - 1, 2):
-        bit_a = (idx >> (m - 1 - q)) & 1
-        bit_b = (idx >> (m - 2 - q)) & 1
-        sign *= np.where(bit_a & bit_b, -1.0, 1.0)
+    ones = _half_signs(m) < 0
+    both = ones[parity:m - 1:2] & ones[parity + 1::2]  # one row per pair
+    sign = np.where(both.sum(axis=0) % 2, -1.0, 1.0)
     sign.setflags(write=False)
     return sign
 
@@ -146,9 +143,7 @@ def _s_phase(m: int, power: int) -> np.ndarray:
     S-dagger takes Y strings to X strings; S follows the last rotation column
     on the diagonal path.
     """
-    popcount = np.zeros(2**m, dtype=np.int64)
-    for q in range(m):
-        popcount += (np.arange(2**m) >> q) & 1
+    popcount = (_half_signs(m) < 0).sum(axis=0)
     phase = np.array([1, 1j, -1, -1j])[(power * popcount) % 4]
     phase.setflags(write=False)
     return phase
@@ -269,17 +264,14 @@ def _prepare_diagonal(m: int, angles: np.ndarray) -> np.ndarray:
 def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """(index permutation, diagonal phase) such that (P psi)[b] = phase[b] * psi[perm[b]]."""
     letter, mask = _letter_and_support(letters)
-    idx = np.arange(2 ** len(letters))
-    perm = idx ^ (0 if letter == "Z" else mask)  # X and Y flip their support's bits
-    phase = np.ones(idx.size, dtype=complex)
-    if letter != "X" and mask:  # Z and Y: -1 where the support holds an odd count of ones
-        bits, parity = idx & mask, np.zeros_like(idx)
-        while np.any(bits):
-            parity ^= bits & 1
-            bits >>= 1
-        phase *= np.where(parity, -1.0, 1.0)
+    m = len(letters)
+    perm = np.arange(2**m) ^ (0 if letter == "Z" else mask)  # X and Y flip their support's bits
+    # Z and Y: the product of the support's +-1 signs, -1 where it holds an
+    # odd count of ones; X and the identity: 1
+    support = [] if letter == "X" else [q for q, ch in enumerate(letters) if ch != "I"]
+    phase = np.prod(_half_signs(m)[support], axis=0).astype(complex)
     if letter == "Y":  # Y = -i ZX on each qubit of the support
-        phase *= (-1j) ** bin(mask).count("1")
+        phase *= (-1j) ** len(support)
     perm.setflags(write=False)
     phase.setflags(write=False)
     return perm, phase

@@ -15,7 +15,8 @@ multiplier approaches 1 when t* hugs M, which can stall on large instances;
 the second always applies at least the factor arctanh(M)/M > 1. The loop
 ends when every soft value clears M, when the outer-iteration cap is hit,
 or one inner run after the proposed alpha overflows the alpha cap (at the
-cap tanh is bitwise saturated and further updates are inert).
+cap tanh is bitwise saturated and further updates are inert). Every exit
+reports its last inner run: the alpha it ran at, its soft values, its loss.
 
 solve_steps is the loop, as a generator that asks for the expectation
 vector and the loss of each state it evaluates; optimize.nelder_mead runs
@@ -270,31 +271,22 @@ def solve_steps(cfg: PceConfig):
                 stalled=stalled,
             )
         )
-        if done or capped:
+        if done or capped or outer == cfg.max_outer_iters:
             break
-        if not math.isfinite(proposed) or proposed > cfg.alpha_cap:
-            capped = True
-            alpha = cfg.alpha_cap
-        else:
-            alpha = proposed
+        capped = not math.isfinite(proposed) or proposed > cfg.alpha_cap
+        alpha = cfg.alpha_cap if capped else proposed
 
     z = decode(e)
-    if alpha == spec.alpha:
-        # the last inner run scored theta at this alpha: its best value is
-        # this loss, bit for bit
-        loss_final = result.best_value
-    else:
-        loss_final = loss(replace(cfg.objective, alpha=alpha), e)
     return SolveOutcome(
         z=z,
-        soft=soft_values(np.clip(e, -1.0, 1.0), alpha),
+        soft=soft,
         feasible=is_feasible(z, cfg.objective.c),
         cut=cut_size(cfg.objective.graph, z),
         final_alpha=float(alpha),
         outer_iters=len(history),
         inner_evals=total_evals,
         theta_final=theta,
-        loss_final=loss_final,
+        loss_final=result.best_value,
         capped=capped,
         history=history if iterative else None,
     )
@@ -382,9 +374,9 @@ def solve(cfg: PceConfig) -> SolveOutcome:
     tanh is saturated for any practical expectation value, so no further
     update can help.
 
-    The outcome's final_alpha, soft and loss_final are taken at the last
-    alpha the loop set. After max_outer_iters that is the alpha proposed
-    after the last inner run, which no inner run has used.
+    Every exit reports its last inner run: final_alpha is the alpha it used,
+    soft and loss_final are its own, and capped says it ran at the clamped
+    cap, so an overflow proposed after the last step leaves capped False.
 
     Runs solve_steps(cfg) as the one job of run_lockstep, and raises the
     exception the job ended with.

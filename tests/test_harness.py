@@ -39,14 +39,20 @@ from pce_mincut.solver import (
 
 FAST = OptimizerConfig(max_evals=600)
 
-# the records of small_plan() as versions 0.1.0 and 0.2.0 of the package wrote them
+# the records of small_plan() as versions 0.1.0, 0.2.0 and 0.3.0 of the
+# package wrote them
 V0_1_0_RECORDS = Path(__file__).parent / "data" / "records_v0_1_0.jsonl"
 V0_2_0_RECORDS = Path(__file__).parent / "data" / "records_v0_2_0.jsonl"
+V0_3_0_RECORDS = Path(__file__).parent / "data" / "records_v0_3_0.jsonl"
 # one record per exit of the solve loop at n=6, c=2, seed 0, max_evals=400:
 # finished, outer cap (max_outer_iters=3), alpha cap (alpha_cap=50), and a
 # fixed run at alpha=30; written by version 0.2.0 before fixed runs and
 # iterative runs shared one loop
 EXIT_RECORDS = Path(__file__).parent / "data" / "records_exits_v0_2_0.jsonl"
+# the same four runs as version 0.3.0 writes them, and a fifth at
+# max_evals=600, max_outer_iters=1 and alpha_cap=4, whose one proposed alpha
+# overflows the cap after the last inner run
+EXIT_RECORDS_V0_3_0 = Path(__file__).parent / "data" / "records_exits_v0_3_0.jsonl"
 # one fixed run each at m=7 (n=60) and m=8 (n=110), which prepare their
 # states on the diagonal path; written by SPLIT_PLANS
 DIAG_RECORDS = Path(__file__).parent / "data" / "records_diag_v0_2_0.jsonl"
@@ -240,8 +246,9 @@ def test_replay_reproduces_outcome_bit_identically(plan_results):
 
 
 @pytest.mark.parametrize("path, count", [
-    (V0_1_0_RECORDS, 4), (V0_2_0_RECORDS, 4), (EXIT_RECORDS, 4), (DIAG_RECORDS, 2),
-], ids=["v0_1_0", "v0_2_0", "exits_v0_2_0", "diag_v0_2_0"])
+    (V0_1_0_RECORDS, 4), (V0_2_0_RECORDS, 4), (V0_3_0_RECORDS, 4), (EXIT_RECORDS_V0_3_0, 5),
+    (DIAG_RECORDS, 2),
+], ids=["v0_1_0", "v0_2_0", "v0_3_0", "exits_v0_3_0", "diag_v0_2_0"])
 def test_committed_records_replay_bit_identically(path, count):
     records = read_records(path)
     assert len(records) == count
@@ -251,18 +258,46 @@ def test_committed_records_replay_bit_identically(path, count):
         assert outcome_to_dict(replay_record(rec)) == rec["outcome"]
 
 
-def test_exit_records_cover_every_exit_of_the_loop():
+def test_v0_2_0_exit_records_replay_except_the_outer_cap():
     finished, outer_cap, alpha_cap, fixed = read_records(EXIT_RECORDS)
+    for rec in (finished, alpha_cap, fixed):
+        assert outcome_to_dict(replay_record(rec)) == rec["outcome"]
+    # 0.2.0 reported the outer cap at the alpha proposed after its last inner run
+    assert outer_cap["outcome"]["final_alpha"] > outer_cap["outcome"]["history"][-1]["alpha"]
+    with pytest.raises(ValueError, match=r"^record stopped at the outer cap under version 0\.2\.0, "
+                                         r".*from 0\.3\.0 the outcome is the last inner run's, "
+                                         r"so it cannot be replayed$"):
+        replay_record(outer_cap)
+    # a record without its history cannot show which alpha ran, so it is refused too
+    outer_cap["outcome"]["history"] = None
+    with pytest.raises(ValueError, match="outer cap under version 0.2.0"):
+        replay_record(outer_cap)
+
+
+def test_exit_records_cover_every_exit_of_the_loop():
+    records = read_records(EXIT_RECORDS_V0_3_0)
+    finished, outer_cap, alpha_cap, fixed, last_overflow = records
+    # the four runs of the 0.2.0 file, whose other exits replay unchanged
+    for old, new in zip(read_records(EXIT_RECORDS), records):
+        assert old["config"] == new["config"]
+        assert (old["outcome"] == new["outcome"]) == (new is not outer_cap)
     out = finished["outcome"]
     assert out["outer_iters"] < finished["config"]["max_outer_iters"]
     assert not out["capped"] and finished["metrics"]["binarization"] == 1.0
-    assert out["final_alpha"] == out["history"][-1]["alpha"]
-    # the outer cap reports the alpha proposed after its last inner run
     out = outer_cap["outcome"]
     assert out["outer_iters"] == outer_cap["config"]["max_outer_iters"] == 3
-    assert out["final_alpha"] > out["history"][-1]["alpha"]
+    assert not out["capped"]
     out = alpha_cap["outcome"]
-    assert out["capped"] and out["final_alpha"] == out["history"][-1]["alpha"] == 50.0
+    assert out["capped"] and out["final_alpha"] == 50.0
+    # the alpha proposed after the one inner run overflows the cap, which no run used
+    out = last_overflow["outcome"]
+    assert out["outer_iters"] == last_overflow["config"]["max_outer_iters"] == 1
+    assert not out["capped"] and out["final_alpha"] == 3.0 < last_overflow["config"]["alpha_cap"]
+    # every iterative exit reports its last inner run
+    for rec in (finished, outer_cap, alpha_cap, last_overflow):
+        out = rec["outcome"]
+        assert out["final_alpha"] == out["history"][-1]["alpha"]
+        assert out["loss_final"] == out["history"][-1]["loss"]
     out = fixed["outcome"]
     assert out["history"] is None and out["outer_iters"] == 1
     assert out["final_alpha"] == fixed["config"]["objective"]["alpha"] == 30.0
@@ -273,10 +308,14 @@ def _json_without_wall_time(records):
     return [json.dumps({k: v for k, v in r.items() if k != "wall_time_s"}) for r in records]
 
 
+def _json_without_version(records):
+    return _json_without_wall_time([{**r, "artifact_version": None} for r in records])
+
+
 def test_committed_records_are_what_small_plan_writes(plan_results):
     path, _, _ = plan_results
     assert (_json_without_wall_time(read_records(path))
-            == _json_without_wall_time(read_records(V0_2_0_RECORDS)))
+            == _json_without_wall_time(read_records(V0_3_0_RECORDS)))
 
 
 def test_committed_records_differ_only_in_version_and_numerics():
@@ -291,6 +330,10 @@ def test_committed_records_differ_only_in_version_and_numerics():
     assert [r["artifact_version"] for r in new] == ["0.2.0"] * 4
     assert all("numerics" not in r["config"] for r in old)
     assert [strip(r) for r in old] == [strip(r) for r in new]
+    # none of these runs stops at the outer cap, so 0.3.0 changes only the version
+    newest = read_records(V0_3_0_RECORDS)
+    assert [r["artifact_version"] for r in newest] == ["0.3.0"] * 4
+    assert _json_without_version(new) == _json_without_version(newest)
 
 
 def test_records_carry_the_numerics_they_ran(plan_results):
@@ -302,7 +345,9 @@ def test_records_carry_the_numerics_they_ran(plan_results):
 
 def test_committed_diag_records_are_what_split_plans_write():
     written = [rec for plan in SPLIT_PLANS for rec in run_plan(plan)[0]]
-    assert _json_without_wall_time(written) == _json_without_wall_time(read_records(DIAG_RECORDS))
+    # no fixed run reaches the outer-cap rule that 0.3.0 changed, so only the version moved
+    assert {r["artifact_version"] for r in written} == {"0.3.0"}
+    assert _json_without_version(written) == _json_without_version(read_records(DIAG_RECORDS))
     assert [r["config"]["numerics"] for r in written] == [
         "prepare=diag;kernel=perm", "prepare=diag;kernel=wht"]
 

@@ -197,6 +197,14 @@ def test_alpha_cap_flags_outcome(k6):
         assert out.outer_iters >= 2  # the pre-cap run plus the at-cap run
     else:  # finished before hitting the cap: all values cleared M at once
         assert np.all(np.abs(out.soft) >= cfg.M)
+    # on the last outer step the overflowing proposal runs nowhere, so no cap
+    cfg = replace(SolverSpec(optimizer=OptimizerConfig(max_evals=600)).config(k6, 2, 0),
+                  max_outer_iters=1, alpha_cap=4.0)
+    out = solve(cfg)
+    assert next_alpha(out.soft, out.final_alpha, cfg.M) > cfg.alpha_cap
+    assert not out.capped
+    assert out.final_alpha == out.history[-1].alpha == 3.0
+    assert out.loss_final == out.history[-1].loss
 
 
 def test_max_outer_iters_respected(k6):
@@ -288,6 +296,10 @@ def test_fixed_run_is_the_first_step_of_the_schedule(k6):
     assert fixed.inner_evals == first.inner_evals
     assert first.history[0].loss == fixed.loss_final
     assert fixed.history is None and fixed.outer_iters == 1
+    # the one step is the whole outcome, not the alpha proposed after it
+    assert first.final_alpha == fixed.final_alpha == 30.0
+    assert first.soft.tobytes() == fixed.soft.tobytes()
+    assert first.loss_final == fixed.loss_final
 
 
 def test_solver_spec_size_rules():
