@@ -29,7 +29,6 @@ import sys
 import time
 from pathlib import Path
 
-from .encoding import FAMILIES, PAULI_LETTERS
 from .graph import (JSON_KINDS, WEIGHT_MODES, generate_complete_graph, json_fits, read_graph,
                     write_graph)
 from .harness import (
@@ -159,8 +158,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, default=None, help="penalty strength (default: degree heuristic)")
     parser.add_argument("--eta", type=float, default=0.0, help="regularization strength")
     parser.add_argument("--update-rule", choices=UPDATE_RULES, default=None)
-    parser.add_argument("--family", choices=FAMILIES, default="full_xyz")
-    parser.add_argument("--pauli", choices=list(PAULI_LETTERS), default="Z")
     parser.add_argument("--k", type=_integer, default=None,
                         help="Pauli-string order (default by size)")
     parser.add_argument("--layers", type=_integer, default=1)
@@ -173,8 +170,7 @@ def _solver_kwargs(args) -> dict:
     and a `bench` solvers entry overrides any of them."""
     return dict(
         alpha0=args.alpha0, M=args.M, beta=args.beta, eta=args.eta,
-        update_rule=args.update_rule, family=args.family, pauli=args.pauli,
-        k=args.k, layers=args.layers,
+        update_rule=args.update_rule, k=args.k, layers=args.layers,
         optimizer=None if args.max_evals is None else OptimizerConfig(max_evals=args.max_evals),
     )
 
@@ -201,6 +197,9 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.history and args.alpha_mode == "fixed":
+        raise SystemExit("solve: --history writes the iterative schedule's steps, "
+                         "and a fixed run has none")
     source = GraphSource(kind="file", path=str(args.graph))
     g = source.load()
     spec = SolverSpec(mode=args.alpha_mode, alpha=args.alpha, **_solver_kwargs(args))
@@ -214,7 +213,7 @@ def cmd_solve(args) -> int:
     record = make_record(cfg, outcome, source.to_dict(g), label="cli-solve",
                          pair_id=None, baseline=baseline, wall_time_s=wall)
     print(json.dumps(record, indent=2))
-    if args.history and outcome.history is not None:
+    if args.history:
         write_history_csv([record], args.history, run_fields=())
         print(f"history written to {args.history}", file=sys.stderr)
     if args.records:
@@ -225,6 +224,8 @@ def cmd_solve(args) -> int:
 
 def _graph_source_from_args(args) -> GraphSource:
     if args.graph:
+        if args.n is not None:
+            raise SystemExit("bench takes --graph FILE or --n N, not both")
         return GraphSource(kind="file", path=args.graph)
     if args.n is None:
         raise SystemExit("bench needs --graph FILE or --n N")
@@ -238,7 +239,7 @@ def _plan_from_args(args) -> ExperimentPlan:
     entries = [{}] if args.solvers is None else args.solvers
     return ExperimentPlan(
         graph=_graph_source_from_args(args),
-        c_values=tuple(args.c_values) if args.c_values else None,
+        c_values=None if args.c_values is None else tuple(args.c_values),
         repetitions=args.reps,
         solvers=tuple(SolverSpec(**{**common, **entry}) for entry in entries),
         seed_base=args.seed_base,

@@ -175,7 +175,7 @@ _OBJECTIVE_FIELDS = tuple(f.name for f in fields(ObjectiveSpec)
 # self-describing; a record that ran under other values is refused, not
 # replayed under these.
 _FIXED = {
-    "encoding": {"permute_seed": None},
+    "encoding": {"family": "full_xyz", "k_range": None, "pauli": "Z", "permute_seed": None},
     "optimizer": {"method": METHOD, "x_tol": X_TOL, "f_tol": F_TOL,
                   "initial_step": INITIAL_STEP, "seed": None},
 }
@@ -196,15 +196,14 @@ def _recorded_numerics(d: dict) -> str:
 
 def config_to_dict(cfg: PceConfig) -> dict:
     obj = cfg.objective
-    encoding = asdict(obj.encoding)
-    if encoding["k_range"] is not None:
-        encoding["k_range"] = list(encoding["k_range"])
     return {
         **{name: getattr(cfg, name) for name in _SCHEDULE_FIELDS},
         "ansatz": ANSATZ_LAYOUT,
         "numerics": numerics(obj.encoding.m),
         "objective": {name: getattr(obj, name) for name in _OBJECTIVE_FIELDS},
-        "encoding": {**encoding, **_FIXED["encoding"]},
+        # family leads the encoding section, the other fixed keys follow k
+        "encoding": {"family": _FIXED["encoding"]["family"], **asdict(obj.encoding),
+                     **_FIXED["encoding"]},
         # method leads the optimizer section, max_evals follows it
         "optimizer": {"method": METHOD, "max_evals": cfg.optimizer.max_evals,
                       **_FIXED["optimizer"]},

@@ -154,8 +154,6 @@ class SolverSpec:
     M: float | None = None
     alpha0: float | None = None
     update_rule: str | None = None
-    family: str = "full_xyz"
-    pauli: str = "Z"
     k: int | None = None
     layers: int = 1
     optimizer: OptimizerConfig | None = None
@@ -174,17 +172,14 @@ class SolverSpec:
     def config(self, graph, c: int, seed: int = 0) -> PceConfig:
         """The PceConfig of one run on graph at budget c, with size defaults.
 
-        Order k is 2 up to 25 nodes, 3 up to 50, 4 above (the mixed family
-        spans the orders 1..k); the register is the smallest that fits n
-        variables. From 150 nodes the binarization threshold M is 0.95 and
+        Order k is 2 up to 25 nodes, 3 up to 50, 4 above; the register is
+        the smallest whose order-k strings fit n variables. From 150 nodes the binarization threshold M is 0.95 and
         alpha0 is 1, and above 25 nodes the update rule is large_scale. An
         iterative run's objective starts at alpha0.
         """
         n = graph.n
         k = self.k if self.k is not None else (2 if n <= 25 else (3 if n <= 50 else 4))
-        key, order = ("k_range", (1, k)) if self.family == "single_pauli_mixed" else ("k", k)
-        enc = EncodingSpec(self.family, m=minimal_qubits(self.family, order, n), n_vars=n,
-                           pauli=self.pauli, **{key: order})
+        enc = EncodingSpec(m=minimal_qubits(k, n), n_vars=n, k=k)
         alpha0 = self.alpha0 if self.alpha0 is not None else (1.0 if n >= 150 else 3.0)
         _check_alpha0(alpha0)  # before the objective of an iterative run takes it
         objective = ObjectiveSpec(graph=graph, encoding=enc, c=c, beta=self.beta, eta=self.eta,

@@ -30,9 +30,8 @@ every branch and every ordering case. `pauli_action` builds a string's
 permutation and phase tables with a loop over its letters, and the
 package's tables, built from the string's letter and support mask, must
 equal them byte for byte. `capacity`, `minimal_qubits` and
-`enumerate_strings` keep one branch per encoding family, as the package did
-before it derived all three from a family's letter set and order range; the
-package must give the same counts, registers, strings and refusals.
+`enumerate_strings` spell out the X/Y/Z order-k encoding with plain loops;
+the package must give the same counts, registers, strings and refusals.
 """
 
 import itertools
@@ -472,35 +471,21 @@ def sa_solve(g, c, cfg=SaConfig(), trace=None):
     return OracleResult(z=z, cut=cut_size(g, z), optimal=False)
 
 
-def capacity(family, m, k):
-    """The encoding's capacity with one branch per family."""
-    if family not in ("full_xyz", "single_pauli", "single_pauli_mixed"):
-        raise ValueError(f"unknown encoding family {family!r}")
+def capacity(m, k):
+    """The number of order-k strings on m qubits, three letters per support."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if family == "single_pauli_mixed":
-        lo, hi = k
-        if not (1 <= lo <= hi <= m):
-            raise ValueError(f"k_range {k} out of range for m={m}")
-        return sum(math.comb(m, kk) for kk in range(lo, hi + 1))
     if not (1 <= k <= m):
         raise ValueError(f"order k={k} out of range for m={m}")
-    per_letter = math.comb(m, k)
-    return 3 * per_letter if family == "full_xyz" else per_letter
+    return 3 * math.comb(m, k)
 
 
-def minimal_qubits(family, k, n_vars):
-    """The smallest sufficient register, clipping the mixed family's hi to m."""
+def minimal_qubits(k, n_vars):
+    """The smallest sufficient register, counted up from k."""
     if n_vars < 1:
         raise ValueError("n_vars must be at least 1")
-    if family == "single_pauli_mixed":
-        lo, hi = k
-        m = lo
-        while capacity(family, m, (lo, min(hi, m))) < n_vars:
-            m += 1
-        return m
     m = k
-    while capacity(family, m, k) < n_vars:
+    while capacity(m, k) < n_vars:
         m += 1
     return m
 
@@ -518,18 +503,9 @@ def _string_at(m, positions, letter):
 
 
 def enumerate_strings(spec):
-    """The family's strings, one branch per family, cut to n_vars."""
+    """The encoding's strings, position subsets then letters, cut to n_vars."""
     letters = []
-    if spec.family == "full_xyz":
-        for positions in _position_subsets(spec.m, spec.k):
-            for letter in "XYZ":
-                letters.append(_string_at(spec.m, positions, letter))
-    elif spec.family == "single_pauli":
-        for positions in _position_subsets(spec.m, spec.k):
-            letters.append(_string_at(spec.m, positions, spec.pauli))
-    else:
-        lo, hi = spec.k_range
-        for kk in range(lo, hi + 1):
-            for positions in _position_subsets(spec.m, kk):
-                letters.append(_string_at(spec.m, positions, spec.pauli))
+    for positions in _position_subsets(spec.m, spec.k):
+        for letter in "XYZ":
+            letters.append(_string_at(spec.m, positions, letter))
     return letters[: spec.n_vars]

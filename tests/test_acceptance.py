@@ -80,7 +80,7 @@ def test_criterion_1_quantum_oracle_equivalence():
     t0 = time.monotonic()
     worst = 0.0
     for m in (2, 3, 4, 5):
-        spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
+        spec = EncodingSpec(m=m, n_vars=capacity(m, 2), k=2)
         strings = enumerate_strings(spec)
         kernel = ExpectationKernel(strings)
         rng = np.random.default_rng(m)
@@ -107,7 +107,7 @@ def test_criterion_2_loss_qubo_identity():
         c = int(rng.integers(1, n // 2 + 1))
         z = np.where(rng.random(n) < 0.5, -1, 1)
         beta = float(rng.uniform(0.5, 100.0))
-        enc = EncodingSpec("full_xyz", m=5, n_vars=n, k=2)
+        enc = EncodingSpec(m=5, n_vars=n, k=2)
         spec = ObjectiveSpec(graph=g, encoding=enc, alpha=alpha, c=c, beta=beta)
         e = np.arctanh(t * z) / alpha
         want = cut_size(g, z) + beta * (z.sum() - (n - 2 * c)) ** 2

@@ -324,10 +324,19 @@ def test_config_refuses_a_bad_solvers_entry(tmp_path, solvers, match):
      "bench: two solvers of the plan label their runs 'iterative'"),
     ("solve --graph {tmp}/k4.json --c 2 --alpha-mode fixed",
      "solve: fixed-alpha solver needs an alpha value"),
+    # an empty list is no c values, not every c in [2, n/2]
+    ("bench --n 8 --c-values --reps 1", "bench: plan has no c values"),
+    ("bench --config {tmp}/no_c.json --n 8 --reps 1", "bench: plan has no c values"),
+    ("solve --graph {tmp}/k4.json --c 2 --alpha-mode fixed --alpha 5 --history {tmp}/h.csv",
+     "solve: --history writes the iterative schedule's steps, and a fixed run has none"),
+    ("bench --graph {tmp}/k4.json --n 40 --reps 1",
+     "bench takes --graph FILE or --n N, not both"),
 ], ids=["bench-graph-file", "solve-graph-file", "c-values", "repeated-c", "baseline-c", "cache",
-        "records", "config-list", "config-not-json", "solver-labels", "fixed-without-alpha"])
+        "records", "config-list", "config-not-json", "solver-labels", "fixed-without-alpha",
+        "empty-c-values", "empty-c-values-config", "history-on-fixed", "graph-and-n"])
 def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.txt").write_text("0 1 1.0\n1 x 2.0\n")
+    (tmp_path / "no_c.json").write_text(json.dumps({"c_values": []}))
     (tmp_path / "cache.json").write_text("not json\n")
     (tmp_path / "list.json").write_text("[1, 2]\n")
     (tmp_path / "twins.json").write_text(json.dumps(
@@ -338,6 +347,7 @@ def test_a_bad_input_exits_in_one_line(tmp_path, argv, message):
     text = str(exc_info.value)
     assert text.startswith(message.format(tmp=tmp_path))
     assert "\n" not in text
+    assert not (tmp_path / "h.csv").exists()
 
 
 @pytest.mark.parametrize("weight", ["inf", "nan"])

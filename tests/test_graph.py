@@ -109,7 +109,7 @@ def test_check_budget_refuses_c_outside_one_to_half_n(n, c):
 
 def test_every_budget_check_refuses_with_check_budgets_message():
     g = generate_complete_graph(6)
-    enc = EncodingSpec("full_xyz", m=3, n_vars=6, k=2)
+    enc = EncodingSpec(m=3, n_vars=6, k=2)
     plan = ExperimentPlan(graph=GraphSource(n=6), c_values=(4,), solvers=(SolverSpec(),))
     for refuse in (lambda: ObjectiveSpec(graph=g, encoding=enc, alpha=1.0, c=4),
                    lambda: beta_c(g, 4), lambda: exhaustive_best(g, 4), lambda: sa_solve(g, 4),

@@ -448,22 +448,25 @@ def test_replay_refuses_other_fixed_values(section, key, value):
         replay_record(rec)
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("family", "single_pauli", "'single_pauli', but this code runs encoding.family='full_xyz'"),
+    ("pauli", "X", "'X', but this code runs encoding.pauli='Z'"),
+    ("k_range", [1, 2], "[1, 2], but this code runs encoding.k_range=None"),
+])
+def test_replay_refuses_an_encoding_other_than_the_xyz_order_k_strings(key, value, want):
+    # a full_xyz record written with pauli X ran the same strings, and is refused all the same
+    rec = read_records(V0_3_0_RECORDS)[0]
+    rec["config"]["encoding"][key] = value
+    with pytest.raises(ValueError) as exc_info:
+        replay_record(rec)
+    assert str(exc_info.value) == f"record has encoding.{key}={want}; it cannot be replayed"
+
+
 def test_replay_after_json_round_trip(plan_results):
     _, records, _ = plan_results
     rec = json.loads(json.dumps(records[0]))
     out = replay_record(rec)
     assert out.theta_final.tolist() == rec["outcome"]["theta_final"]
-
-
-def test_a_single_pauli_mixed_record_replays_after_a_json_round_trip():
-    # its encoding's k_range, a tuple, is written as a JSON list
-    spec = SolverSpec(label="mixed", mode="fixed", alpha=3.0, family="single_pauli_mixed", k=2,
-                      optimizer=OptimizerConfig(max_evals=60))
-    records, report = run_plan(small_plan(repetitions=1, solvers=(spec,)))
-    assert not report.failures
-    rec = json.loads(json.dumps(records[0]))
-    assert rec["config"]["encoding"]["k_range"] == [1, 2]
-    assert outcome_to_dict(replay_record(rec)) == rec["outcome"]
 
 
 def test_failure_records_keep_plan_running(monkeypatch):
@@ -574,11 +577,11 @@ def test_solver_spec_validation():
         SolverSpec(label="i", mode="iterative", alpha=50.0)
 
 
-# two encodings at n=6 (full_xyz k=2 on m=3, single_pauli k=2 on m=4), so
-# the lockstep driver serves two groups per step, each with paired controls
+# two encodings at n=6 (k=2 on m=3, k=3 on m=4), so the lockstep driver
+# serves two groups per step, each with paired controls
 LOCKSTEP_SOLVERS = (
     SolverSpec(label="xyz", paired_control=True, optimizer=FAST),
-    SolverSpec(label="z", family="single_pauli", k=2, paired_control=True, optimizer=FAST),
+    SolverSpec(label="k3", k=3, paired_control=True, optimizer=FAST),
 )
 LOCKSTEP_KW = dict(c_values=(2, 3), repetitions=2, solvers=LOCKSTEP_SOLVERS)
 
@@ -597,8 +600,7 @@ def sequential_lockstep_records():
         for c in plan.c_values:
             baseline = baseline_cut(g, c, method="exhaustive")
             for rep in range(plan.repetitions):
-                cfg = SolverSpec(family=spec.family, k=spec.k,
-                                 optimizer=FAST).config(g, c, 1000 * c + rep)
+                cfg = SolverSpec(k=spec.k, optimizer=FAST).config(g, c, 1000 * c + rep)
                 pair_id = f"{spec.label}-c{c}-r{rep}"
                 out = solve(cfg)
                 ctrl = solve_pce_at_final_alpha(out, cfg)
@@ -691,7 +693,7 @@ def test_a_failing_batched_call_fails_only_the_cells_it_served(
     real_prepare = solver_mod.prepare_state
 
     def prepare_state(m, theta, layers=1):
-        if m == 4:  # the single_pauli cells' register
+        if m == 4:  # the k3 cells' register
             raise RuntimeError("no m=4 states")
         return real_prepare(m, theta, layers)
 
@@ -700,5 +702,5 @@ def test_a_failing_batched_call_fails_only_the_cells_it_served(
     assert _strip(records[:8]) == _strip(sequential_lockstep_records[:8])
     assert records[8:] == report.failures
     assert [(r["label"], r["c"], r["rep"]) for r in report.failures] == [
-        ("z", c, rep) for c in (2, 3) for rep in (0, 1)]
+        ("k3", c, rep) for c in (2, 3) for rep in (0, 1)]
     assert all(r["error"] == "RuntimeError: no m=4 states" for r in report.failures)

@@ -26,7 +26,7 @@ from pce_mincut.quantum import ExpectationKernel, parameter_count, prepare_state
 
 
 def spec_for(graph, c, alpha, beta=None, eta=0.0):
-    enc = EncodingSpec("full_xyz", m=5, n_vars=graph.n, k=2)
+    enc = EncodingSpec(m=5, n_vars=graph.n, k=2)
     return ObjectiveSpec(graph=graph, encoding=enc, alpha=alpha, c=c, beta=beta, eta=eta)
 
 
@@ -131,7 +131,7 @@ def test_plateau_width():
 
 
 def test_objective_spec_validation(k6):
-    enc = EncodingSpec("full_xyz", m=3, n_vars=6, k=2)
+    enc = EncodingSpec(m=3, n_vars=6, k=2)
     with pytest.raises(ValueError):
         ObjectiveSpec(graph=k6, encoding=enc, alpha=1.0, c=4)  # c > n/2
     for alpha in (0.0, math.nan, math.inf):
@@ -139,13 +139,13 @@ def test_objective_spec_validation(k6):
             ObjectiveSpec(graph=k6, encoding=enc, alpha=alpha, c=2)
     with pytest.raises(ValueError):
         ObjectiveSpec(graph=k6, encoding=enc, alpha=1.0, c=2, eta=-1.0)
-    wrong = EncodingSpec("full_xyz", m=3, n_vars=5, k=2)
+    wrong = EncodingSpec(m=3, n_vars=5, k=2)
     with pytest.raises(ValueError):
         ObjectiveSpec(graph=k6, encoding=wrong, alpha=1.0, c=2)
 
 
 def test_default_beta_is_degree_heuristic(k6):
-    enc = EncodingSpec("full_xyz", m=3, n_vars=6, k=2)
+    enc = EncodingSpec(m=3, n_vars=6, k=2)
     s = ObjectiveSpec(graph=k6, encoding=enc, alpha=1.0, c=2)
     assert s.beta == beta_c(k6, 2)
     s2 = ObjectiveSpec(graph=k6, encoding=enc, alpha=1.0, c=2, beta=123.0)
@@ -191,7 +191,7 @@ def _stack(n, rows, rng):
     expectations that holds exact -1, 0 and 1 entries."""
     g = generate_complete_graph(n, weights="uniform", seed=int(rng.integers(2**31)),
                                 low=0.1, high=2.0)
-    enc = EncodingSpec("full_xyz", m=minimal_qubits("full_xyz", 2, n), n_vars=n, k=2)
+    enc = EncodingSpec(m=minimal_qubits(2, n), n_vars=n, k=2)
     specs = [ObjectiveSpec(graph=g, encoding=enc, alpha=float(10 ** rng.uniform(-1, 16 if b % 2 else 1)),
                            c=int(rng.choice([1, n // 2])),
                            beta=None if b % 3 else float(rng.uniform(0, 50)),
@@ -217,7 +217,7 @@ def test_stacked_loss_matches_the_1d_reference_bit_for_bit(n, rows):
 def test_stacked_loss_over_the_kernels_stack_matches_1d_calls(n, m):
     # from m=8 the kernel returns its (B, n) stack in column-major order
     g = generate_complete_graph(n, weights="uniform", seed=n, low=0.1, high=1.0)
-    enc = EncodingSpec("full_xyz", m=minimal_qubits("full_xyz", 4, n), n_vars=n, k=4)
+    enc = EncodingSpec(m=minimal_qubits(4, n), n_vars=n, k=4)
     assert enc.m == m
     kernel = ExpectationKernel(enumerate_strings(enc))
     rng = np.random.default_rng(m)

@@ -113,7 +113,7 @@ def test_expectation_qubit_mismatch():
 def test_expectations_batch_matches_scalar():
     z000 = np.zeros(8, dtype=complex)
     z000[0] = 1.0
-    strings = enumerate_strings(EncodingSpec("full_xyz", m=3, n_vars=9, k=2))
+    strings = enumerate_strings(EncodingSpec(m=3, n_vars=9, k=2))
     vals = ExpectationKernel(strings)(z000)
     assert np.array_equal(vals, [0, 0, 1, 0, 0, 1, 0, 0, 1])
     assert np.array_equal(vals, [dense_expectation(z000, s) for s in strings])
@@ -124,7 +124,7 @@ def test_expectations_batch_matches_scalar():
 def test_expectation_matches_dense_oracle(m):
     # each string on a kernel of its own
     rng = np.random.default_rng(m + 7)
-    spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
+    spec = EncodingSpec(m=m, n_vars=capacity(m, 2), k=2)
     strings = enumerate_strings(spec)
     for _ in range(10):
         psi = prepare_state(m, rng.uniform(-np.pi, np.pi, 6 * m))
@@ -137,7 +137,7 @@ def test_expectation_matches_dense_oracle(m):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_kernel_matches_scalar_path(m):
     rng = np.random.default_rng(m + 13)
-    spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
+    spec = EncodingSpec(m=m, n_vars=capacity(m, 2), k=2)
     strings = enumerate_strings(spec)
     kernel = ExpectationKernel(strings)
     for _ in range(10):
@@ -147,8 +147,8 @@ def test_kernel_matches_scalar_path(m):
 
 
 def test_kernel_mixed_orders():
-    spec = EncodingSpec("single_pauli_mixed", m=4, n_vars=15, k_range=(1, 4), pauli="Y")
-    strings = enumerate_strings(spec)
+    # every Y string on m=4, orders 1 to 4 in one kernel
+    strings = ["".join(p) for p in itertools.product("IY", repeat=4)][1:]
     kernel = ExpectationKernel(strings)
     rng = np.random.default_rng(21)
     psi = prepare_state(4, rng.uniform(-np.pi, np.pi, 24))
@@ -159,7 +159,7 @@ def test_kernel_mixed_orders():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_pauli_bound_and_hermiticity(m):
     rng = np.random.default_rng(m + 17)
-    spec = EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2)
+    spec = EncodingSpec(m=m, n_vars=capacity(m, 2), k=2)
     strings = enumerate_strings(spec)
     kernel = ExpectationKernel(strings)
     for _ in range(25):
@@ -176,21 +176,19 @@ def test_numerics_names_each_path():
     assert numerics(8) == "prepare=diag;kernel=wht"
 
 
-def _encodings(m):
-    """One encoding of each family and letter, mixed orders included."""
-    specs = [EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, k), k=k)
-             for k in (1, 2, 4)]
-    for pauli in "XYZ":
-        specs.append(EncodingSpec("single_pauli", m=m, n_vars=capacity("single_pauli", m, 3),
-                                  k=3, pauli=pauli))
-        specs.append(EncodingSpec("single_pauli_mixed", m=m, pauli=pauli, k_range=(1, m),
-                                  n_vars=capacity("single_pauli_mixed", m, (1, m))))
-    return specs
+def _string_lists(m):
+    """The encoding's strings at orders 1, 2 and 4, and for each letter its
+    strings of order 3 and of every order, which the kernel takes as well."""
+    lists = [enumerate_strings(EncodingSpec(m=m, n_vars=capacity(m, k), k=k)) for k in (1, 2, 4)]
+    for letter in "XYZ":
+        every = ["".join(p) for p in itertools.product("I" + letter, repeat=m)][1:]
+        lists += [[s for s in every if m - s.count("I") == 3], every]
+    return lists
 
 
 def test_pauli_action_tables_equal_the_letter_loops_bytes():
     # every same-letter string on m = 1..7 qubits, the identity included: a
-    # superset of every encoding family's strings, for every letter
+    # superset of the encoding's strings at every order
     for m in range(1, 8):
         strings = ["I" * m] + ["".join(p if (mask >> (m - 1 - q)) & 1 else "I"
                                        for q in range(m))
@@ -215,8 +213,7 @@ def test_kernel_matches_perm_reference_across_the_wht_switch(m):
     rng = np.random.default_rng(m + 31)
     states = [prepare_state(m, rng.uniform(-np.pi, np.pi, parameter_count(m, layers)), layers)
               for layers in (1, 2)]
-    for spec in _encodings(m):
-        strings = enumerate_strings(spec)
+    for strings in _string_lists(m):
         kernel = ExpectationKernel(strings)
         want = np.array([[np.vdot(psi, apply_pauli(s, psi)).real for psi in states]
                          for s in strings])
@@ -231,7 +228,7 @@ def test_wht_kernel_exact_on_basis_states():
     zero = np.zeros(dim, dtype=complex)
     zero[0] = 1.0
     plus = np.full(dim, 1 / np.sqrt(dim), dtype=complex)  # 1/16: exact at m=8
-    strings = enumerate_strings(EncodingSpec("full_xyz", m=T, n_vars=capacity("full_xyz", T, 2),
+    strings = enumerate_strings(EncodingSpec(m=T, n_vars=capacity(T, 2),
                                              k=2))
     kernel = ExpectationKernel(strings)
     letters = [s.strip("I")[0] for s in strings]
@@ -242,7 +239,7 @@ def test_wht_kernel_exact_on_basis_states():
 def test_wht_kernel_matches_dense_oracle():
     rng = np.random.default_rng(41)
     psi = prepare_state(T, rng.uniform(-np.pi, np.pi, parameter_count(T)))
-    strings = enumerate_strings(EncodingSpec("full_xyz", m=T, n_vars=capacity("full_xyz", T, 3),
+    strings = enumerate_strings(EncodingSpec(m=T, n_vars=capacity(T, 3),
                                              k=3))[::23]
     assert {s.strip("I")[0] for s in strings} == set("XYZ")
     want = [dense_expectation(psi, s) for s in strings]
@@ -265,7 +262,7 @@ def test_invalid_letters_are_refused():
 def test_stacked_calls_give_each_row_the_bytes_of_a_1d_call(m):
     rng = np.random.default_rng(m + 47)
     k = 1 if m < 4 else 2
-    strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, k), k=k))
+    strings = enumerate_strings(EncodingSpec(m=m, n_vars=capacity(m, k), k=k))
     for layers in (1, 2):
         for rows in (1, 2, 7, 40):
             thetas = rng.uniform(-np.pi, np.pi, (rows, parameter_count(m, layers)))
@@ -284,7 +281,7 @@ def test_stacked_calls_give_each_row_the_bytes_of_a_1d_call(m):
 def test_kernel_matches_the_1d_reference_bit_for_bit(m):
     rng = np.random.default_rng(m + 59)
     k = 1 if m < 4 else 2
-    strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, k), k=k))
+    strings = enumerate_strings(EncodingSpec(m=m, n_vars=capacity(m, k), k=k))
     kernel = ExpectationKernel(strings)
     for layers in (1, 2):
         dim = parameter_count(m, layers)
@@ -301,7 +298,7 @@ def test_kernel_matches_the_1d_reference_bit_for_bit(m):
 @pytest.mark.parametrize("m", [T, T + 1])
 def test_wht_kernel_transforms_a_stack_in_one_pass(m, monkeypatch):
     rng = np.random.default_rng(m + 61)
-    strings = enumerate_strings(EncodingSpec("full_xyz", m=m, n_vars=capacity("full_xyz", m, 2), k=2))
+    strings = enumerate_strings(EncodingSpec(m=m, n_vars=capacity(m, 2), k=2))
     kernel = ExpectationKernel(strings)
     # prepared before _wht is patched, so the transforms of state preparation
     # are not counted
@@ -347,7 +344,7 @@ def test_wht_of_complex_rows_has_the_bits_of_the_complex_product(m):
 
 def test_kernel_buffers_survive_a_stack_that_shrinks_and_grows():
     rng = np.random.default_rng(5)
-    strings = enumerate_strings(EncodingSpec("full_xyz", m=4, n_vars=capacity("full_xyz", 4, 2), k=2))
+    strings = enumerate_strings(EncodingSpec(m=4, n_vars=capacity(4, 2), k=2))
     kernel, fresh = ExpectationKernel(strings), ExpectationKernel(strings)
     for rows in (7, 2, 1, 3, 12, 1, 12):
         states = prepare_state(4, rng.uniform(-np.pi, np.pi, (rows, parameter_count(4))))
