@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -440,26 +441,16 @@ def test_replay_refuses_an_edited_ansatz_tag():
     ("optimizer", "x_tol", 1e-3),
     ("optimizer", "method", "bfgs"),
     ("encoding", "permute_seed", 5),
+    ("encoding", "family", "single_pauli"),
+    # a full_xyz record written with pauli X ran the same strings, and is refused all the same
+    ("encoding", "pauli", "X"),
+    ("encoding", "k_range", [1, 2]),
 ])
 def test_replay_refuses_other_fixed_values(section, key, value):
     rec = read_records(V0_1_0_RECORDS)[0]
     rec["config"][section][key] = value
-    with pytest.raises(ValueError, match=f"{section}.{key}={value!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"{section}.{key}={value!r}")):
         replay_record(rec)
-
-
-@pytest.mark.parametrize("key, value, want", [
-    ("family", "single_pauli", "'single_pauli', but this code runs encoding.family='full_xyz'"),
-    ("pauli", "X", "'X', but this code runs encoding.pauli='Z'"),
-    ("k_range", [1, 2], "[1, 2], but this code runs encoding.k_range=None"),
-])
-def test_replay_refuses_an_encoding_other_than_the_xyz_order_k_strings(key, value, want):
-    # a full_xyz record written with pauli X ran the same strings, and is refused all the same
-    rec = read_records(V0_3_0_RECORDS)[0]
-    rec["config"]["encoding"][key] = value
-    with pytest.raises(ValueError) as exc_info:
-        replay_record(rec)
-    assert str(exc_info.value) == f"record has encoding.{key}={want}; it cannot be replayed"
 
 
 def test_replay_after_json_round_trip(plan_results):
